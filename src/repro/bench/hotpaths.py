@@ -3,11 +3,13 @@
 Times the exact-path regions this repo optimizes — LCG fill (cold and
 tile-cache-warm), panel factorization, trailing update, IR residual and
 column sweep — plus two end-to-end anchors (distributed FP64 HPL and the
-exact mixed-precision HPL-AI run), and writes a ``BENCH_hotpaths.json``
-record so perf trajectory is tracked across PRs.
+exact mixed-precision HPL-AI run) and one event-engine stage (a phantom
+routed-broadcast run), and writes a ``BENCH_hotpaths.json`` record so
+perf trajectory is tracked across PRs.
 
 The end-to-end HPL stage also records solution/ipiv checksums and the
-residual, pinning the optimization contract: faster, bitwise-identical.
+residual, and the engine stage a checksum of its simulated statistics,
+pinning the optimization contract: faster, bitwise-identical.
 """
 
 from __future__ import annotations
@@ -71,6 +73,17 @@ def _sha16(a: np.ndarray) -> str:
     return hashlib.sha256(np.ascontiguousarray(a).tobytes()).hexdigest()[:16]
 
 
+def _sim_sha16(res) -> str:
+    """Checksum of a simulated run's statistics (the bits, via
+    ``float.hex``): elapsed, its split and every rank's accounting."""
+    doc = [res.elapsed.hex(), res.elapsed_factorization.hex(),
+           res.elapsed_refinement.hex()]
+    for st in res.stats:
+        doc.append([st.bytes_sent, st.messages_sent,
+                    sorted((k, float(v).hex()) for k, v in st.times.items())])
+    return hashlib.sha256(json.dumps(doc).encode()).hexdigest()[:16]
+
+
 def _timed(fn: Callable[[], object], reps: int, name: str) -> StageResult:
     """Run ``fn`` ``reps`` times under an obs span, collecting wall times."""
     obs = obs_context.current()
@@ -108,7 +121,7 @@ def run_hotpaths(
     out: Optional[str] = DEFAULT_OUT,
 ) -> Dict[str, object]:
     """Run all stages; returns (and optionally writes) the JSON record."""
-    from repro.core.driver import run_benchmark
+    from repro.core.driver import run_benchmark, simulate_run
     from repro.core.hpl_dist import HplExecutor, solve_hpl_distributed
 
     mach = get_machine(machine)
@@ -206,6 +219,26 @@ def run_hotpaths(
         _timed(end_to_end_hplai, max(1, reps - 1), "end_to_end_hplai")
     )
 
+    # -- event engine: routed tree broadcast, phantom payloads --------------
+    # Fixed size (independent of n/block/grid): 64 ranks, 64 steps, every
+    # panel broadcast a multi-segment pipeline along the library tree.
+    des_cfg = BenchmarkConfig(
+        n=8 * 8192, block=1024, machine=mach, p_rows=8, p_cols=8,
+        bcast_algorithm="bcast", seed=seed,
+    )
+
+    def des_route():
+        res = simulate_run(des_cfg)
+        return {
+            "t_virtual_s": round(res.elapsed, 6),
+            "engine_events": res.engine_events,
+            "engine_transfers": res.engine_transfers,
+            "sim_sha256": _sim_sha16(res),
+        }
+
+    des_stage = _timed(des_route, max(1, reps - 1), "des_route")
+    stages.append(des_stage)
+
     hpl_stage = next(s for s in stages if s.name == "end_to_end_hpl")
     record: Dict[str, object] = {
         "schema": SCHEMA,
@@ -218,6 +251,7 @@ def run_hotpaths(
             "x_sha256": hpl_stage.extra.get("x_sha256"),
             "ipiv_sha256": hpl_stage.extra.get("ipiv_sha256"),
             "residual_norm": hpl_stage.extra.get("residual_norm"),
+            "sim_sha256": des_stage.extra.get("sim_sha256"),
         },
         "tile_cache": tile_cache().stats(),
     }

@@ -53,6 +53,9 @@ class RunResult:
     stats: List[RankStats] = field(default_factory=list)
     trace: List[dict] = field(default_factory=list)
     engine_events: int = 0
+    #: point-to-point segment transfers the engine charged — host time
+    #: over this is the engine's cost per unit of its own work
+    engine_transfers: int = 0
     #: run-provenance block (:func:`repro.obs.run_provenance`) so
     #: recorded runs are comparable across campaigns
     provenance: Optional[dict] = None
@@ -194,6 +197,7 @@ def run_benchmark(
         stats=list(outcome.stats),
         trace=trace,
         engine_events=outcome.events,
+        engine_transfers=outcome.transfers,
         provenance=run_provenance(cfg),
     )
     if exact:

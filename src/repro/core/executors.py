@@ -18,7 +18,7 @@ time (and applies per-GCD variability).
 from __future__ import annotations
 
 import contextlib
-from typing import Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -54,6 +54,7 @@ class ExecutorBase:
         self.cm = cfg.machine.cpu_kernels
         self.b = cfg.block
         self._ir_iter = 0
+        self._plans: Dict[int, StepPlan] = {}
         # Triangular-sweep work that overlaps the solve's serial chain
         # (pipelined distributed TRSV): accumulated off the critical path
         # and charged once per sweep.
@@ -89,8 +90,21 @@ class ExecutorBase:
     # -- layout ------------------------------------------------------------
 
     def plan(self, k: int) -> StepPlan:
-        """Layout facts for step k (cached-free, pure arithmetic)."""
-        return make_step_plan(self.cfg, self.p_ir, self.p_ic, k)
+        """Layout facts for step k (pure arithmetic, memoized).
+
+        The panel loop asks for the same plan half a dozen times per
+        step and, with look-ahead, alternates between steps ``k`` and
+        ``k + 1`` only — so the memo keeps the two newest steps and
+        evicts the oldest on insert.  An unbounded memo costs one
+        :class:`StepPlan` per (rank, step) for the life of the run.
+        """
+        plans = self._plans
+        plan = plans.get(k)
+        if plan is None:
+            if len(plans) == 2:
+                del plans[next(iter(plans))]
+            plan = plans[k] = make_step_plan(self.cfg, self.p_ir, self.p_ic, k)
+        return plan
 
     # -- timing helpers ---------------------------------------------------------
 

@@ -63,6 +63,7 @@ def run_report(
         report["ir_iterations"] = result.ir_iterations
         report["ir_converged"] = result.ir_converged
         report["engine_events"] = result.engine_events
+        report["engine_transfers"] = result.engine_transfers
         # Always recorded: NaN (simulated runs have no meaningful
         # residual) serializes as null via save_report's strict dump.
         report["residual_norm"] = result.residual_norm

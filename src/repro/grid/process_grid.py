@@ -10,7 +10,8 @@ ranks are node neighbours when no explicit node-local grid is used.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, List, Tuple
+from functools import cached_property
+from typing import Iterator, Tuple
 
 from repro.errors import ConfigurationError, RankError
 from repro.util.validation import check_positive_int
@@ -75,13 +76,34 @@ class ProcessGrid:
             raise ConfigurationError(f"step index must be >= 0, got {k}")
         return k % self.p_rows, k % self.p_cols
 
-    def row_members(self, p_ir: int) -> List[int]:
-        """Ranks of process row ``p_ir`` — scope of the U-panel broadcast."""
-        return [self.rank_of(p_ir, c) for c in range(self.p_cols)]
+    # Row/column scopes are asked for at every broadcast of every step and
+    # depend on the (frozen) grid alone, so each table is built once.
 
-    def col_members(self, p_ic: int) -> List[int]:
+    @cached_property
+    def _row_table(self) -> Tuple[Tuple[int, ...], ...]:
+        return tuple(
+            tuple(self.rank_of(r, c) for c in range(self.p_cols))
+            for r in range(self.p_rows)
+        )
+
+    @cached_property
+    def _col_table(self) -> Tuple[Tuple[int, ...], ...]:
+        return tuple(
+            tuple(self.rank_of(r, c) for r in range(self.p_rows))
+            for c in range(self.p_cols)
+        )
+
+    def row_members(self, p_ir: int) -> Tuple[int, ...]:
+        """Ranks of process row ``p_ir`` — scope of the U-panel broadcast."""
+        if not 0 <= p_ir < self.p_rows:
+            raise RankError(f"process row {p_ir} outside {self.p_rows}x{self.p_cols}")
+        return self._row_table[p_ir]
+
+    def col_members(self, p_ic: int) -> Tuple[int, ...]:
         """Ranks of process column ``p_ic`` — scope of the L-panel broadcast."""
-        return [self.rank_of(r, p_ic) for r in range(self.p_rows)]
+        if not 0 <= p_ic < self.p_cols:
+            raise RankError(f"process column {p_ic} outside {self.p_rows}x{self.p_cols}")
+        return self._col_table[p_ic]
 
     def iter_ranks(self) -> Iterator[Tuple[int, int, int]]:
         """Yield ``(rank, p_ir, p_ic)`` for every rank, in rank order."""

@@ -63,9 +63,8 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 _READY = 0
 _BLOCKED_RECV = 1
-_BLOCKED_WAIT = 2
-_BLOCKED_COLL = 3
-_DONE = 4
+_BLOCKED_COLL = 2
+_DONE = 3
 
 #: clock charged for posting a nonblocking operation
 _POST_OVERHEAD_S = 5.0e-7
@@ -107,16 +106,17 @@ class EngineResult:
     stats: List[RankStats]
     #: total events processed (diagnostic)
     events: int
+    #: point-to-point segment transfers charged (every segment of every
+    #: edge of a routed broadcast counts) — with ``events`` the engine's
+    #: own work measure
+    transfers: int = 0
     #: messages posted but never received — a healthy SPMD program
     #: drains every mailbox; nonzero indicates a protocol bug
     undelivered: int = 0
 
 
 class _RankState:
-    __slots__ = (
-        "gen", "clock", "status", "value", "block_key", "block_handle",
-        "done_value",
-    )
+    __slots__ = ("gen", "clock", "status", "value", "block_key", "done_value")
 
     def __init__(self, gen) -> None:
         self.gen = gen
@@ -124,7 +124,6 @@ class _RankState:
         self.status = _READY
         self.value: Any = None  # value to send into the generator next
         self.block_key: Optional[Tuple[int, int, int]] = None
-        self.block_handle: Optional[int] = None
         self.done_value: Any = None
 
 
@@ -194,12 +193,12 @@ class Engine:
         self.costs = comm_costs
         self.node_of = node_of_rank or (lambda r: r)
         self.mpi = mpi if mpi is not None else comm_costs.machine.mpi
-        # Hot-path precomputation: _transfer runs once per message segment
-        # (routed broadcasts fan a panel into dozens of segments), so the
-        # rank→node map and the cost-model scalars are resolved once here
-        # instead of through property/call chains per transfer.  The
-        # numbers are identical — CommCosts is frozen and node maps are
-        # pure functions of the grid.
+        # Hot-path precomputation: _charge_edge runs once per edge of a
+        # routed broadcast (and once per Send/Isend) and loops over the
+        # edge's segments, so the rank→node map and the cost-model scalars
+        # are resolved once here instead of through property/call chains
+        # per edge.  The numbers are identical — CommCosts is frozen and
+        # node maps are pure functions of the grid.
         self._rank_node = [self.node_of(r) for r in range(num_ranks)]
         self._intra_bw = comm_costs.intra_bw
         self._intra_lat = comm_costs.intra_latency
@@ -241,6 +240,7 @@ class Engine:
 
         self.stats = [RankStats() for _ in range(num_ranks)]
         self._events = 0
+        self._transfers = 0
         self.record_timeline = record_timeline
         #: (rank, start, end, kind) spans when record_timeline is on
         self.timeline: List[Tuple[int, float, float, str]] = []
@@ -314,6 +314,7 @@ class Engine:
             returns=[st.done_value for st in self._ranks],
             stats=self.stats,
             events=self._events,
+            transfers=self._transfers,
             undelivered=sum(len(q) for q in self._mailbox.values()),
         )
 
@@ -327,45 +328,18 @@ class Engine:
             st.done_value = stop.value
             return
         st.value = None
-        self._dispatch(rank, st, op)
+        handler = self._HANDLERS.get(type(op))
+        if handler is None:
+            raise SimulationError(
+                f"rank {rank} yielded unsupported op {type(op).__name__}"
+            )
+        handler(self, rank, st, op)
 
     def _resume(self, rank: int, value: Any = None) -> None:
         st = self._ranks[rank]
         st.status = _READY
         st.value = value
         heapq.heappush(self._heap, (st.clock, rank))
-
-    def _dispatch(self, rank: int, st: _RankState, op) -> None:
-        if isinstance(op, Compute):
-            self._op_compute(rank, st, op)
-        elif isinstance(op, Isend):
-            self._op_isend(rank, st, op, blocking=False)
-        elif isinstance(op, Send):
-            self._op_isend(rank, st, op, blocking=True)
-        elif isinstance(op, Recv):
-            self._op_recv(rank, st, op.src, op.tag, handle=None)
-        elif isinstance(op, Irecv):
-            h = self._new_handle({"type": "irecv", "key": (op.src, rank, op.tag)})
-            self._resume(rank, h)
-        elif isinstance(op, Wait):
-            self._op_wait(rank, st, op.handle)
-        elif isinstance(op, RouteSend):
-            self._op_route(rank, st, op)
-        elif isinstance(op, (Barrier, Allreduce, Reduce)):
-            self._op_collective(rank, st, op)
-        elif isinstance(op, Now):
-            self._resume(rank, st.clock)
-        elif isinstance(op, BlockUntil):
-            waited = max(op.time - st.clock, 0.0)
-            if self._emit and waited > 0:
-                self._span_add(op.kind, "engine", st.clock, op.time, rank)
-            self.stats[rank].add(op.kind, waited)
-            st.clock = max(st.clock, op.time)
-            self._resume(rank)
-        else:
-            raise SimulationError(
-                f"rank {rank} yielded unsupported op {type(op).__name__}"
-            )
 
     # -- op implementations --------------------------------------------------
 
@@ -393,81 +367,106 @@ class Engine:
             self.stats[rank].add("wait_outage", outage)
         self._resume(rank)
 
-    def _transfer(
-        self, src: int, dst: int, size: float, ready: float, speed: float,
-        tag: Optional[int] = None,
-    ) -> Tuple[float, float]:
-        """Charge one point-to-point transfer; returns (departure, arrival).
+    def _charge_edge(
+        self, src: int, dst: int, size: float, avail: Sequence[float],
+        speed: float, tag: Optional[int] = None,
+    ) -> Tuple[float, List[float]]:
+        """Charge ``len(avail)`` equal transfers of ``size`` bytes along
+        one ``(src, dst)`` edge; returns ``(done, arrivals)``.
 
-        ``ready`` is when the data is available at ``src``.  Intra-node
+        ``avail[s]`` is when segment ``s`` is available at ``src``;
+        ``done`` is when the last segment left ``src``.  Intra-node
         transfers serialize on the sender's GPU-fabric link; inter-node
         transfers serialize on both nodes' NICs (the eq.-5 sharing
         mechanism) and pay host staging when not GPU-aware.
+
+        Every segment of an edge shares nodes, bandwidth, latency and
+        staging, so those are resolved once and only the recurrence
+
+            start = max(avail[s], free);  free = start + xfer
+            arrival = start + lat + jitter + xfer + staging
+
+        runs per segment.  The operand order is part of the contract:
+        simulated times are compared bitwise across commits, so the sum
+        is never reassociated (no ``avail[j] + (s - j) * xfer`` closed
+        form) and the unperturbed path still adds ``jitter = 0.0``.
         """
         src_node, dst_node = self._rank_node[src], self._rank_node[dst]
         intra = src_node == dst_node
+        link_plan = None
+        staging = 0.0
         if intra:
-            start = max(ready, self._link_out[src])
-            xfer = size / self._intra_bw
-            arrival = start + self._intra_lat + xfer
-            done = start + xfer
-            self._link_out[src] = done
+            free = self._link_out[src]
+            base_xfer = size / self._intra_bw
+            lat = self._intra_lat
         else:
-            bw = self._nic_bw * speed
-            start = max(ready, self._nic_out[src_node], self._nic_in[dst_node])
-            xfer = size / bw
-            jitter = 0.0
-            if self._link_plan is not None:
-                xfer_scale, jitter = self._link_plan.perturb(
-                    src_node, dst_node, start, size
-                )
-                # A brown-out stretches the transfer itself (and thus
-                # holds the NICs longer); jitter delays arrival only.
-                xfer *= xfer_scale
+            free = max(self._nic_out[src_node], self._nic_in[dst_node])
+            base_xfer = size / (self._nic_bw * speed)
+            link_plan = self._link_plan
             lat = self._lat_memo.get((src_node, dst_node))
             if lat is None:
                 lat = self.costs.latency_between(src_node, dst_node)
                 self._lat_memo[(src_node, dst_node)] = lat
-            staging = self.costs.staging_time(size) if self._staged else 0.0
-            arrival = start + lat + jitter + xfer + staging
-            done = start + xfer
-            self._nic_out[src_node] = done
-            self._nic_in[dst_node] = done
-        self.stats[src].bytes_sent += int(size)
-        self.stats[src].messages_sent += 1
-        if self._emit:
-            attrs = {"dst": dst, "bytes": int(size), "intra": intra}
-            if tag is not None:
-                attrs["tag"] = tag
-            self._span_add("xfer", "comm", start, done, src, attrs=attrs)
-            self._ctr_bytes[intra].inc(size)
-            self._ctr_msgs[intra].inc()
-        return done, arrival
+            if self._staged:
+                staging = self.costs.staging_time(size)
+        emit = self._emit
+        xfer = base_xfer
+        jitter = 0.0
+        arrivals: List[float] = []
+        append = arrivals.append
+        for ready in avail:
+            start = ready if ready > free else free
+            if link_plan is not None:
+                # A brown-out stretches the transfer itself (and thus
+                # holds the NICs longer); jitter delays arrival only.
+                xfer_scale, jitter = link_plan.perturb(
+                    src_node, dst_node, start, size
+                )
+                xfer = base_xfer * xfer_scale
+            append(start + lat + jitter + xfer + staging)
+            free = start + xfer
+            if emit:
+                attrs = {"dst": dst, "bytes": int(size), "intra": intra}
+                if tag is not None:
+                    attrs["tag"] = tag
+                self._span_add("xfer", "comm", start, free, src, attrs=attrs)
+                self._ctr_bytes[intra].inc(size)
+                self._ctr_msgs[intra].inc()
+        if intra:
+            self._link_out[src] = free
+        else:
+            self._nic_out[src_node] = free
+            self._nic_in[dst_node] = free
+        nseg = len(arrivals)
+        stats = self.stats[src]
+        stats.bytes_sent += int(size) * nseg
+        stats.messages_sent += nseg
+        self._transfers += nseg
+        return free, arrivals
 
-    def _schedule_transfer(
-        self, rank: int, st: _RankState, dst: int, payload, speed: float,
+    def _transfer(
+        self, src: int, dst: int, size: float, ready: float, speed: float,
         tag: Optional[int] = None,
     ) -> Tuple[float, float]:
-        """Returns (sender_completion, arrival)."""
-        if not 0 <= dst < self.num_ranks:
-            raise SimulationError(f"rank {rank} sent to invalid rank {dst}")
-        return self._transfer(
-            rank, dst, nbytes_of(payload), st.clock, speed, tag=tag
-        )
+        """Charge one point-to-point transfer; returns (departure, arrival)."""
+        done, arrivals = self._charge_edge(src, dst, size, (ready,), speed, tag)
+        return done, arrivals[0]
 
-    def _op_isend(self, rank: int, st: _RankState, op, blocking: bool) -> None:
+    def _op_isend(self, rank: int, st: _RankState, op) -> None:
         if op.speed <= 0:
             raise SimulationError(f"send speed must be positive, got {op.speed}")
         payload = op.payload
         if isinstance(payload, np.ndarray):
             payload = payload.copy()  # MPI semantics: buffer reusable after post
-        done, arrival = self._schedule_transfer(
-            rank, st, op.dst, payload, op.speed, tag=op.tag
+        if not 0 <= op.dst < self.num_ranks:
+            raise SimulationError(f"rank {rank} sent to invalid rank {op.dst}")
+        done, arrival = self._transfer(
+            rank, op.dst, nbytes_of(payload), st.clock, op.speed, tag=op.tag
         )
         key = (rank, op.dst, op.tag)
         msg = Message(rank, op.dst, op.tag, payload, arrival)
         self._deliver(key, msg)
-        if blocking:
+        if type(op) is Send:
             waited = max(done - st.clock, 0.0)
             if self._emit and waited > 0:
                 self._span_add("wait_send", "engine", st.clock, done, rank)
@@ -504,15 +503,11 @@ class Engine:
                     f"route edge ({src}, {dst}) outside world of "
                     f"{self.num_ranks} ranks"
                 )
-            avail = seg_at[src]
-            arrivals: List[float] = []
-            for s in range(nseg):
-                done, arr = self._transfer(
-                    src, dst, seg_size, avail[s], op.speed, tag=op.tag
-                )
-                arrivals.append(arr)
-                if src == spec.root:
-                    root_done = max(root_done, done)
+            done, arrivals = self._charge_edge(
+                src, dst, seg_size, seg_at[src], op.speed, tag=op.tag
+            )
+            if src == spec.root:
+                root_done = max(root_done, done)
             seg_at[dst] = arrivals
             self._deliver(
                 (spec.root, dst, op.tag),
@@ -525,8 +520,7 @@ class Engine:
     def _deliver(self, key, msg: Message) -> None:
         waiters = self._recv_waiters.get(key)
         if waiters:
-            waiting_rank, handle = waiters.popleft()
-            self._complete_recv(waiting_rank, msg)
+            self._complete_recv(waiters.popleft(), msg)
         else:
             self._mailbox[key].append(msg)
             if self._health is not None:
@@ -548,10 +542,12 @@ class Engine:
         st.clock = max(st.clock, msg.arrival)
         self._resume(rank, msg.payload)
 
-    def _op_recv(self, rank: int, st: _RankState, src: int, tag: int, handle) -> None:
+    def _op_recv(self, rank: int, st: _RankState, op) -> None:
+        """Complete a Recv — or the Irecv a Wait is completing."""
+        src = op.src
         if not 0 <= src < self.num_ranks:
             raise SimulationError(f"rank {rank} receives from invalid rank {src}")
-        key = (src, rank, tag)
+        key = (src, rank, op.tag)
         box = self._mailbox.get(key)
         if box:
             msg = box.popleft()
@@ -561,12 +557,28 @@ class Engine:
         else:
             st.status = _BLOCKED_RECV
             st.block_key = key
-            self._recv_waiters[key].append((rank, handle))
+            self._recv_waiters[key].append(rank)
 
-    def _op_wait(self, rank: int, st: _RankState, handle: int) -> None:
-        info = self._handles.pop(handle, None)
+    def _op_irecv(self, rank: int, st: _RankState, op: Irecv) -> None:
+        self._resume(rank, self._new_handle({"type": "irecv", "op": op}))
+
+    def _op_now(self, rank: int, st: _RankState, op: Now) -> None:
+        self._resume(rank, st.clock)
+
+    def _op_block_until(self, rank: int, st: _RankState, op: BlockUntil) -> None:
+        waited = max(op.time - st.clock, 0.0)
+        if self._emit and waited > 0:
+            self._span_add(op.kind, "engine", st.clock, op.time, rank)
+        self.stats[rank].add(op.kind, waited)
+        st.clock = max(st.clock, op.time)
+        self._resume(rank)
+
+    def _op_wait(self, rank: int, st: _RankState, op: Wait) -> None:
+        info = self._handles.pop(op.handle, None)
         if info is None:
-            raise SimulationError(f"rank {rank} waited on unknown handle {handle}")
+            raise SimulationError(
+                f"rank {rank} waited on unknown handle {op.handle}"
+            )
         if info["type"] == "isend":
             done = info["done"]
             waited = max(done - st.clock, 0.0)
@@ -576,8 +588,7 @@ class Engine:
             st.clock = max(st.clock, done)
             self._resume(rank)
         elif info["type"] == "irecv":
-            src, _me, tag = info["key"]
-            self._op_recv(rank, st, src, tag, handle)
+            self._op_recv(rank, st, info["op"])
         else:  # pragma: no cover - defensive
             raise SimulationError(f"corrupt handle {info}")
 
@@ -685,12 +696,29 @@ class Engine:
             total = total + p
         return total
 
+    #: op type -> handler; ops are matched by exact type (no op class is
+    #: subclassed), so the commonest ops cost one lookup, not a chain of
+    #: isinstance tests
+    _HANDLERS = {
+        Compute: _op_compute,
+        Isend: _op_isend,
+        Send: _op_isend,
+        Recv: _op_recv,
+        Irecv: _op_irecv,
+        Wait: _op_wait,
+        RouteSend: _op_route,
+        Barrier: _op_collective,
+        Allreduce: _op_collective,
+        Reduce: _op_collective,
+        Now: _op_now,
+        BlockUntil: _op_block_until,
+    }
+
     # -- diagnostics ----------------------------------------------------------
 
     def _describe_block(self, st: _RankState) -> str:
         names = {
             _BLOCKED_RECV: f"recv on (src, dst, tag)={st.block_key}",
-            _BLOCKED_WAIT: f"wait on handle {st.block_handle}",
             _BLOCKED_COLL: f"collective {st.block_key}",
             _READY: "ready (scheduler bug)",
         }
@@ -725,9 +753,6 @@ class Engine:
             info["arrived"] = (
                 sorted(pend.arrived) if pend is not None else []
             )
-        elif st.status == _BLOCKED_WAIT:
-            info["state"] = "wait"
-            info["handle"] = st.block_handle
         else:
             info["state"] = "unknown"
         return info
@@ -739,7 +764,7 @@ class Engine:
         stalled run is stuck in; the engine itself calls it at the end
         of :meth:`run` when ranks never finished.
         """
-        blocked_states = (_BLOCKED_RECV, _BLOCKED_WAIT, _BLOCKED_COLL)
+        blocked_states = (_BLOCKED_RECV, _BLOCKED_COLL)
         return [
             self._block_info(r, st)
             for r, st in enumerate(getattr(self, "_ranks", []))

@@ -129,3 +129,32 @@ class TestEngineScale:
         res = simulate_run(cfg)
         assert res.engine_events > 0
         assert len(res.stats) == 64
+
+    def test_transfers_count_every_charged_segment(self):
+        # Each segment of each routed-broadcast edge is one message, so
+        # the engine's self-metric equals the per-rank traffic counters.
+        for bcast in ("bcast", "ring2m"):
+            res = simulate_run(_cfg(machine=SUMMIT, bcast_algorithm=bcast))
+            assert res.engine_transfers == sum(
+                st.messages_sent for st in res.stats
+            )
+            assert res.engine_transfers > res.engine_events
+
+    def test_plan_memo_stays_bounded(self, monkeypatch):
+        # An unbounded per-executor memo holds one StepPlan per
+        # (rank, step) for the whole run — measurable peak RSS at 12x12.
+        import repro.core.driver as driver
+
+        executors = []
+
+        class Recording(driver.PhantomExecutor):
+            def __init__(self, *args):
+                super().__init__(*args)
+                executors.append(self)
+
+        monkeypatch.setattr(driver, "PhantomExecutor", Recording)
+        cfg = _cfg(machine=SUMMIT, n=1024 * 12, block=512, pr=12, pc=12,
+                   bcast_algorithm="ring2m")
+        simulate_run(cfg)
+        assert len(executors) == 144
+        assert all(len(ex._plans) == 2 for ex in executors)

@@ -97,11 +97,27 @@ class TestProcessGrid:
         assert rank in g.row_members(pr)
         assert rank in g.col_members(pc)
 
+    @pytest.mark.parametrize("order", ["col", "row"])
+    def test_members_are_rank_of_in_grid_order(self, order):
+        g = ProcessGrid(3, 4, order=order)
+        for r in range(3):
+            assert g.row_members(r) == tuple(g.rank_of(r, c) for c in range(4))
+        for c in range(4):
+            assert g.col_members(c) == tuple(g.rank_of(r, c) for r in range(3))
+        # Built once per grid, and invisible to equality and hashing.
+        assert g.row_members(1) is g.row_members(1)
+        assert g == ProcessGrid(3, 4, order=order)
+        assert hash(g) == hash(ProcessGrid(3, 4, order=order))
+
     def test_validation(self):
         with pytest.raises(RankError):
             ProcessGrid(2, 2).coords_of(4)
         with pytest.raises(RankError):
             ProcessGrid(2, 2).rank_of(2, 0)
+        with pytest.raises(RankError):
+            ProcessGrid(2, 2).row_members(2)
+        with pytest.raises(RankError):
+            ProcessGrid(2, 2).col_members(-1)
         with pytest.raises(ConfigurationError):
             ProcessGrid(2, 2, order="diag")
 

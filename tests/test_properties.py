@@ -139,3 +139,77 @@ class TestEngineDeterminism:
         b = solve_hplai(n=n, block=block, p_rows=2, p_cols=1)
         np.testing.assert_array_equal(a.x, b.x)
         assert a.elapsed == b.elapsed
+
+
+class TestEdgeCharging:
+    """The routed-broadcast edge routine against its own one-segment
+    form: charging ``nseg`` segments along an edge in one call must be
+    indistinguishable — to the bit — from ``nseg`` point-to-point
+    transfers, on the static, link-perturbed and traced paths alike."""
+
+    @staticmethod
+    def _engine(machine, gpu_aware, intra, preload, perturbed, traced):
+        from repro.obs import Observability
+        from repro.scenario.compile import LinkPlan
+        from repro.simulate import Engine
+
+        plan = (
+            LinkPlan(jitter_amplitude=1e-5, jitter_seed=7,
+                     windows=[(0.2, 0.6, 3.0)])
+            if perturbed else None
+        )
+        eng = Engine(
+            2, CommCosts(machine, gpu_aware=gpu_aware),
+            node_of_rank=(lambda r: 0) if intra else (lambda r: r),
+            link_plan=plan, obs=Observability(enabled=traced),
+        )
+        eng._nic_out[eng._rank_node[0]] = preload[0]
+        eng._nic_in[eng._rank_node[1]] = preload[1]
+        eng._link_out[0] = preload[2]
+        return eng
+
+    @staticmethod
+    def _state(eng):
+        return (
+            dict(eng._nic_out), dict(eng._nic_in), dict(eng._link_out),
+            eng.stats[0].bytes_sent, eng.stats[0].messages_sent,
+            eng._transfers,
+            [(s.start, s.end, s.rank, s.attrs) for s in eng.obs.tracer],
+            eng.obs.metrics.snapshot(),
+        )
+
+    @given(
+        st.sampled_from([SUMMIT, FRONTIER]),
+        st.booleans(),  # gpu_aware
+        st.booleans(),  # intra-node placement
+        st.tuples(*[st.floats(0.0, 1.0)] * 3),  # NIC out / NIC in / link free
+        st.booleans(),  # link plan (jitter + brown-out window)
+        st.booleans(),  # obs enabled
+        st.sampled_from([1, 2, 12, 64]),
+        st.integers(0, 2**30),  # payload bytes
+        st.floats(0.25, 4.0),  # speed
+        st.data(),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_edge_equals_folded_transfers(
+        self, machine, gpu_aware, intra, preload, perturbed, traced, nseg,
+        nbytes, speed, data,
+    ):
+        avail = data.draw(
+            st.lists(st.floats(0.0, 1.0), min_size=nseg, max_size=nseg)
+        )
+        seg_size = nbytes / nseg if nseg > 1 else float(nbytes)
+        args = (machine, gpu_aware, intra, preload, perturbed, traced)
+
+        edge = self._engine(*args)
+        done, arrivals = edge._charge_edge(0, 1, seg_size, avail, speed, tag=5)
+
+        fold = self._engine(*args)
+        folded = [
+            fold._transfer(0, 1, seg_size, ready, speed, tag=5)
+            for ready in avail
+        ]
+
+        assert arrivals == [arr for _done, arr in folded]
+        assert done == folded[-1][0]
+        assert self._state(edge) == self._state(fold)

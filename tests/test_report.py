@@ -35,6 +35,8 @@ class TestRunReport:
         assert rep["gflops_per_gcd"] > 0
         assert "gemm" in rep["components"]
         assert rep["bytes_sent_total"] > 0
+        assert rep["engine_events"] == phantom_result.engine_events
+        assert rep["engine_transfers"] == phantom_result.engine_transfers > 0
 
     def test_exact_report_has_residual(self):
         res = solve_hplai(n=64, block=16, p_rows=2, p_cols=2)
