@@ -21,6 +21,7 @@ from repro.lcg.generator import (
     affine_compose,
     affine_power,
     states_at,
+    states_progression,
 )
 from repro.lcg.matrix import HplAiMatrix, uniform_from_state
 
@@ -34,6 +35,7 @@ __all__ = [
     "clear_tile_cache",
     "configure_tile_cache",
     "states_at",
+    "states_progression",
     "tile_cache",
     "HplAiMatrix",
     "uniform_from_state",

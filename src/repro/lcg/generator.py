@@ -12,16 +12,21 @@ start the sequence at low computational cost ... making it easily
 parallelizable and also allowing each process to access any part of A by
 regenerating it on the fly"*.
 
-Two interfaces are provided:
+Three interfaces are provided:
 
 - :class:`Lcg64` — a scalar, stateful generator (mirrors the C code);
-- :func:`states_at` — a fully vectorized bulk evaluator that computes the
-  LCG state at many absolute positions at once with NumPy (64 wrapped
-  multiply/adds over the whole array, independent of the magnitudes).
+- :func:`states_at` — a vectorized evaluator of the LCG state at many
+  *scattered* absolute positions at once with NumPy (one masked wrapped
+  multiply/add pass per bit that is set in any position);
+- :func:`states_progression` — the bulk generator for contiguous or
+  evenly strided runs: one ``states_at`` jump to the head of each run,
+  then the run is filled by doubling, one wrapped multiply-add per
+  element.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Tuple
 
 import numpy as np
@@ -124,18 +129,37 @@ class Lcg64:
         )
 
 
-def _bit_tables(a: int, c: int) -> Tuple[np.ndarray, np.ndarray]:
-    """Precompute ``(a, c)^(2^k)`` for k = 0..63 as uint64 arrays."""
+@lru_cache(maxsize=64)
+def _jump_tables(a: int, c: int, stride: int) -> Tuple[np.ndarray, np.ndarray]:
+    """``(a, c)^(stride * 2^k)`` for k = 0..63 as read-only uint64 arrays.
+
+    Memoized per ``(a, c, stride)``: building one costs 64 Python-int
+    compositions plus one ``affine_power``.
+    """
     a_tab = np.empty(64, dtype=np.uint64)
     c_tab = np.empty(64, dtype=np.uint64)
-    cur = (a & _MASK, c & _MASK)
+    cur = affine_power(a, c, stride)
     for k in range(64):
         a_tab[k], c_tab[k] = cur
         cur = affine_compose(cur, cur)
+    a_tab.flags.writeable = False
+    c_tab.flags.writeable = False
     return a_tab, c_tab
 
 
-_DEFAULT_TABLES = _bit_tables(LCG_A, LCG_C)
+def _check_positions(positions: np.ndarray, what: str) -> np.ndarray:
+    """Validate step counts and return them as uint64."""
+    pos = np.asarray(positions)
+    if pos.size:
+        # float/bool positions would silently truncate in the uint64 cast
+        # below (and bool positions are almost certainly a caller bug).
+        if not np.issubdtype(pos.dtype, np.integer):
+            raise ConfigurationError(
+                f"LCG {what} must have an integer dtype, got {pos.dtype}"
+            )
+        if pos.min() < 0:
+            raise ConfigurationError(f"LCG {what} must be non-negative")
+    return pos.astype(np.uint64, copy=False)
 
 
 def states_at(
@@ -148,8 +172,11 @@ def states_at(
 
     ``positions`` holds 1-based step counts: ``states_at(seed, [t])`` equals
     the state after ``t`` calls to :meth:`Lcg64.next_uint64`; ``t = 0``
-    returns the seed itself.  Runs 64 wrapped multiply/adds over the whole
-    array regardless of how large the positions are.
+    returns the seed itself.  Every bit set in *some* position costs one
+    masked multiply/add pass over the array (bits clear everywhere are
+    skipped), so the cost follows the bit length of the largest position
+    — this is the evaluator for scattered positions; contiguous or evenly
+    strided runs belong to :func:`states_progression`.
 
     Parameters
     ----------
@@ -158,22 +185,8 @@ def states_at(
     positions:
         Integer array (any shape) of step counts; must be non-negative.
     """
-    pos = np.asarray(positions)
-    if pos.size:
-        # float/bool positions would silently truncate in the uint64 cast
-        # below (and bool positions are almost certainly a caller bug).
-        if not np.issubdtype(pos.dtype, np.integer):
-            raise ConfigurationError(
-                f"LCG positions must have an integer dtype, got {pos.dtype}"
-            )
-        if pos.min() < 0:
-            raise ConfigurationError("LCG positions must be non-negative")
-    pos = pos.astype(np.uint64, copy=False)
-
-    if (a, c) == (LCG_A, LCG_C):
-        a_tab, c_tab = _DEFAULT_TABLES
-    else:
-        a_tab, c_tab = _bit_tables(a, c)
+    pos = _check_positions(positions, "positions")
+    a_tab, c_tab = _jump_tables(a, c, 1)
 
     acc_a = np.ones(pos.shape, dtype=np.uint64)
     acc_c = np.zeros(pos.shape, dtype=np.uint64)
@@ -188,3 +201,60 @@ def states_at(
             acc_a[mask] = acc_a[mask] * a_tab[k]
             acc_c[mask] = acc_c[mask] * a_tab[k] + c_tab[k]
         return acc_a * np.uint64(seed & _MASK) + acc_c
+
+
+def states_progression(
+    seed: int,
+    first: np.ndarray,
+    count: int,
+    stride: int = 1,
+    a: int = LCG_A,
+    c: int = LCG_C,
+) -> np.ndarray:
+    """LCG states along arithmetic progressions of step indices.
+
+    Returns a C-contiguous ``(len(first), count)`` uint64 array whose
+    ``[i, j]`` entry is the state at step ``first[i] + j * stride`` (same
+    1-based convention as :func:`states_at`).  Only column 0 is jumped to
+    bit by bit; after that, columns ``[m, 2m)`` are columns ``[0, m)``
+    advanced ``m * stride`` steps, which is a single affine map
+    ``(a, c)^(stride * m)`` and therefore one wrapped multiply-add over the
+    slice.  Doubling ``m`` fills the run in ``ceil(log2 count)`` slices at
+    about two array operations per element.  All arithmetic is in Z/2^64,
+    where composing affine maps is exact, so every state is bit-identical
+    to ``states_at`` on the expanded positions.
+
+    Parameters
+    ----------
+    seed:
+        Initial LCG state.
+    first:
+        1-D integer array of the starting step of each run; non-negative.
+    count:
+        Number of states per run (``>= 0``).
+    stride:
+        Step distance between consecutive states of a run (``>= 1``).
+    """
+    start = _check_positions(first, "run starts")
+    if start.ndim != 1:
+        raise ConfigurationError(
+            f"LCG run starts must be one-dimensional, got shape {start.shape}"
+        )
+    if count < 0:
+        raise ConfigurationError(f"run length must be non-negative, got {count}")
+    if stride < 1:
+        raise ConfigurationError(f"run stride must be positive, got {stride}")
+    out = np.empty((start.size, count), dtype=np.uint64)
+    if out.size == 0:
+        return out
+    out[:, 0] = states_at(seed, start, a, c)
+    a_tab, c_tab = _jump_tables(a, c, stride)
+    with np.errstate(over="ignore"):
+        m, k = 1, 0
+        while m < count:
+            w = min(m, count - m)
+            dst = out[:, m:m + w]
+            np.multiply(out[:, :w], a_tab[k], out=dst)
+            dst += c_tab[k]
+            m, k = 2 * m, k + 1
+    return out

@@ -31,7 +31,7 @@ import numpy as np
 
 from repro.errors import ConfigurationError
 from repro.lcg.cache import tile_cache
-from repro.lcg.generator import LCG_A, LCG_C, states_at
+from repro.lcg.generator import LCG_A, LCG_C, states_at, states_progression
 from repro.util.validation import check_positive_int
 
 #: Largest N for which the mean off-diagonal magnitude (0.125/N) stays
@@ -48,7 +48,16 @@ def uniform_from_state(states: np.ndarray) -> np.ndarray:
     scalar (:meth:`repro.lcg.Lcg64.uniform`) and bulk paths agree bit for
     bit.
     """
-    return (states >> np.uint64(11)).astype(np.float64) * 2.0**-53 - 0.5
+    return _uniform_consuming(np.array(states, dtype=np.uint64))
+
+
+def _uniform_consuming(states: np.ndarray) -> np.ndarray:
+    """:func:`uniform_from_state` that uses ``states`` as its scratch space."""
+    states >>= np.uint64(11)
+    u = states.astype(np.float64)
+    u *= 2.0**-53
+    u -= 0.5
+    return u
 
 
 class HplAiMatrix:
@@ -140,17 +149,18 @@ class HplAiMatrix:
         self, row_start: int, row_stop: int, col_start: int, col_stop: int
     ) -> np.ndarray:
         """Uncached FP64 materialization of one rectangular range."""
+        # One contiguous LCG run per row, starting at step i*N + col_start + 1.
         rows = np.arange(row_start, row_stop, dtype=np.uint64)
-        cols = np.arange(col_start, col_stop, dtype=np.uint64)
-        positions = rows[:, None] * np.uint64(self.n) + cols[None, :] + np.uint64(1)
-        u = uniform_from_state(states_at(self.seed, positions, self.a, self.c))
-        out = u * self._offdiag_scale
-        # Overwrite the entries on the global diagonal, if any fall inside.
+        first = rows * np.uint64(self.n) + np.uint64(col_start + 1)
+        out = self._uniform_runs(first, col_stop - col_start)
+        # Entries on the global diagonal, if any fall inside, are 1 + u
+        # rather than u / 2N: lift them out before scaling the rest.
         diag_lo = max(row_start, col_start)
         diag_hi = min(row_stop, col_stop)
-        if diag_lo < diag_hi:
-            d = np.arange(diag_lo, diag_hi)
-            out[d - row_start, d - col_start] = 1.0 + u[d - row_start, d - col_start]
+        d = np.arange(diag_lo, diag_hi)  # empty when the range misses it
+        on_diag = out[d - row_start, d - col_start]
+        out *= self._offdiag_scale
+        out[d - row_start, d - col_start] = 1.0 + on_diag
         return out
 
     def rows(self, row_start: int, row_stop: int) -> np.ndarray:
@@ -170,19 +180,13 @@ class HplAiMatrix:
         if stop is None:
             stop = self.n
         self._check_range(start, stop, "diag")
-        idx = np.arange(start, stop, dtype=np.uint64)
-        positions = idx * np.uint64(self.n) + idx + np.uint64(1)
-        u = uniform_from_state(states_at(self.seed, positions, self.a, self.c))
-        return 1.0 + u
+        # A[i, i] sits at step i*(N+1) + 1: one run of stride N+1.
+        first = start * (self.n + 1) + 1
+        return 1.0 + self._uniform_runs([first], stop - start, self.n + 1)[0]
 
     def rhs(self) -> np.ndarray:
         """The right-hand side vector b, drawn from the LCG tail."""
-        positions = (
-            np.uint64(self.n) * np.uint64(self.n)
-            + np.arange(self.n, dtype=np.uint64)
-            + np.uint64(1)
-        )
-        return uniform_from_state(states_at(self.seed, positions, self.a, self.c))
+        return self._uniform_runs([self.n * self.n + 1], self.n)[0]
 
     # -- diagnostics -----------------------------------------------------
 
@@ -204,6 +208,13 @@ class HplAiMatrix:
             )
 
     # -- internal --------------------------------------------------------
+
+    def _uniform_runs(self, first, count: int, stride: int = 1) -> np.ndarray:
+        """``u`` at steps ``first[i] + j*stride``, shape ``(len(first), count)``."""
+        return _uniform_consuming(states_progression(
+            self.seed, np.asarray(first, dtype=np.uint64), count, stride,
+            self.a, self.c,
+        ))
 
     def _check_index(self, idx: int, name: str) -> None:
         if not 0 <= idx < self.n:

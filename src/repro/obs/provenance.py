@@ -69,7 +69,7 @@ def run_provenance(cfg=None, extra: Optional[dict] = None) -> dict:
         import numpy
 
         prov["numpy"] = numpy.__version__
-    except Exception:  # pragma: no cover - numpy is a hard dependency
+    except ImportError:  # pragma: no cover - numpy is a hard dependency
         prov["numpy"] = None
     if cfg is not None:
         prov["config"] = cfg.describe()

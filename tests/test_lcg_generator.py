@@ -13,6 +13,7 @@ from repro.lcg.generator import (
     affine_compose,
     affine_power,
     states_at,
+    states_progression,
 )
 
 MASK = (1 << 64) - 1
@@ -132,3 +133,79 @@ class TestStatesAt:
         # A trivial LCG: x -> x + 1.
         out = states_at(0, np.arange(5), a=1, c=1)
         assert [int(x) for x in out] == [0, 1, 2, 3, 4]
+
+
+class TestStatesProgression:
+    """Doubling must reproduce the per-bit jump on every expanded position."""
+
+    @given(
+        seed=st.integers(0, 2**64 - 1),
+        first=st.lists(
+            st.one_of(
+                st.just(0),
+                st.integers(0, 2**20),
+                st.integers(2**62, 2**63 - 1),
+            ),
+            min_size=0, max_size=5,
+        ),
+        count=st.integers(0, 300),
+        n=st.integers(1, 5000),
+        stride_kind=st.sampled_from(["one", "n", "n+1", "2^40+1"]),
+        constants=st.sampled_from(
+            [(LCG_A, LCG_C), (1, 1), (5, 3), (2**64 - 59, 2**63 + 1)]
+        ),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_equals_states_at_on_expanded_positions(
+        self, seed, first, count, n, stride_kind, constants
+    ):
+        stride = {"one": 1, "n": n, "n+1": n + 1, "2^40+1": 2**40 + 1}[stride_kind]
+        a, c = constants
+        first = np.array(first, dtype=np.uint64)
+        got = states_progression(seed, first, count, stride, a, c)
+        positions = (
+            first[:, None]
+            + np.arange(count, dtype=np.uint64)[None, :] * np.uint64(stride)
+        )
+        assert got.dtype == np.uint64 and got.shape == positions.shape
+        assert (got == states_at(seed, positions, a, c)).all()
+
+    def test_matches_scalar_walk(self):
+        gen = Lcg64(seed=4242)
+        gen.advance(6)
+        expected = [gen.next_uint64() for _ in range(23)]
+        run = states_progression(4242, np.array([7]), 23)
+        assert [int(x) for x in run[0]] == expected
+
+    def test_strided_run_matches_scalar_walk(self):
+        gen = Lcg64(seed=99)
+        walk = [gen.next_uint64() for _ in range(40)]
+        run = states_progression(99, np.array([2]), 13, stride=3)
+        assert [int(x) for x in run[0]] == walk[1::3]
+
+    def test_empty_shapes(self):
+        assert states_progression(5, np.array([1, 2]), 0).shape == (2, 0)
+        assert states_progression(
+            5, np.array([], dtype=np.uint64), 4
+        ).shape == (0, 4)
+
+    def test_rejects_bad_arguments(self):
+        with pytest.raises(ConfigurationError, match="non-negative"):
+            states_progression(5, np.array([-1]), 3)
+        with pytest.raises(ConfigurationError, match="integer dtype"):
+            states_progression(5, np.array([0.5]), 3)
+        with pytest.raises(ConfigurationError, match="one-dimensional"):
+            states_progression(5, np.array([[1, 2]]), 3)
+        with pytest.raises(ConfigurationError, match="run length"):
+            states_progression(5, np.array([1]), -1)
+        with pytest.raises(ConfigurationError, match="stride"):
+            states_progression(5, np.array([1]), 3, stride=0)
+
+    def test_jump_tables_are_memoized_and_read_only(self):
+        from repro.lcg.generator import _jump_tables
+
+        tabs = _jump_tables(5, 3, 7)
+        assert _jump_tables(5, 3, 7) is tabs
+        assert tabs[0][0] == affine_power(5, 3, 7)[0]
+        with pytest.raises(ValueError):
+            tabs[0][0] = 1

@@ -113,3 +113,12 @@ class TestRhsAndLimits:
 
     def test_block_dtype(self, mat64):
         assert mat64.block(0, 4, 0, 4, dtype=np.float32).dtype == np.float32
+
+    @pytest.mark.parametrize("use_cache", [True, False])
+    def test_empty_ranges(self, use_cache):
+        m = HplAiMatrix(n=64, seed=2022, use_cache=use_cache)
+        for _ in range(2):  # second pass reads the cached empty tiles
+            assert m.block(7, 7, 3, 40).shape == (0, 37)
+            assert m.block(3, 40, 7, 7).shape == (37, 0)
+            assert m.block(64, 64, 64, 64).shape == (0, 0)
+        assert m.diagonal(9, 9).shape == (0,)
