@@ -626,9 +626,11 @@ def cmd_trace(args) -> int:
           f"({', '.join(f'{c}: {n}' for c, n in sorted(cats.items()))}"
           f"{f'; dropped {obs.tracer.dropped}' if obs.tracer.dropped else ''})")
     if args.category or args.rank:
-        from repro.obs.export import filter_spans
+        from repro.obs.export import select_spans
 
-        kept = len(filter_spans(obs.tracer, **sel))
+        # the exporter's own selection mask over the columns: a count,
+        # with no span objects and no second sort
+        kept = len(select_spans(obs.tracer.columns(), sel["cats"], sel["ranks"]))
         print(f"  exported {kept} spans after --category/--rank filters")
     print(f"  chrome trace -> {path}  (open in https://ui.perfetto.dev)")
     if args.jsonl:

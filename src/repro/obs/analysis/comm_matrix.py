@@ -16,8 +16,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Tuple
 
-from repro.obs.analysis.loaders import phase_of_span
-from repro.obs.tracer import Span
+import numpy as np
+
+from repro.obs.analysis.loaders import ProfileInput, distinct_rows
 
 
 @dataclass
@@ -56,21 +57,28 @@ class CommMatrix:
         ]
 
 
-def comm_matrix(spans: List[Span], num_ranks: int) -> CommMatrix:
-    """Build the communication matrix from a span set."""
+def comm_matrix(spans, num_ranks: int) -> CommMatrix:
+    """Build the communication matrix from a span set (a
+    :class:`~repro.obs.analysis.loaders.ProfileInput`, a tracer or a
+    list of spans)."""
+    t = ProfileInput.of(spans)
+    at = np.flatnonzero(t.xfers)
+    ids, names = t.phases
+    # Sum per distinct (src, dst, phase, intra), then fill the dicts in
+    # first-seen order — the order the per-span loop inserted keys in.
+    first, kind_of = distinct_rows(t.rank[at], t.x_dst[at], ids[at], t.x_intra[at])
+    size = np.zeros(len(first), dtype=np.int64)
+    np.add.at(size, kind_of, t.x_bytes[at])
+    msgs = np.bincount(kind_of, minlength=len(first))
     cm = CommMatrix(num_ranks=num_ranks)
-    for sp in spans:
-        if sp.cat != "comm" or sp.name != "xfer" or "dst" not in sp.attrs:
-            continue
-        src, dst = sp.rank, int(sp.attrs["dst"])
-        size = int(sp.attrs.get("bytes", 0))
-        key = (src, dst)
-        cm.bytes_by_pair[key] = cm.bytes_by_pair.get(key, 0) + size
-        cm.msgs_by_pair[key] = cm.msgs_by_pair.get(key, 0) + 1
-        phase = phase_of_span(sp)
-        cm.bytes_by_phase[phase] = cm.bytes_by_phase.get(phase, 0) + size
-        if sp.attrs.get("intra"):
-            cm.intra_bytes += size
+    for k in np.argsort(first).tolist():
+        i = at[first[k]]
+        nbytes, pair, phase = int(size[k]), (int(t.rank[i]), int(t.x_dst[i])), names[ids[i]]
+        cm.bytes_by_pair[pair] = cm.bytes_by_pair.get(pair, 0) + nbytes
+        cm.msgs_by_pair[pair] = cm.msgs_by_pair.get(pair, 0) + int(msgs[k])
+        cm.bytes_by_phase[phase] = cm.bytes_by_phase.get(phase, 0) + nbytes
+        if t.x_intra[i]:
+            cm.intra_bytes += nbytes
         else:
-            cm.inter_bytes += size
+            cm.inter_bytes += nbytes
     return cm

@@ -24,8 +24,10 @@ import bisect
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from repro.obs.analysis.loaders import phase_of_span, step_of_span
-from repro.obs.tracer import Span
+import numpy as np
+
+from repro.obs.analysis.loaders import ProfileInput
+from repro.obs.tracer import NONE, Span
 
 #: slack tolerated when matching predecessor end times (float noise)
 _EPS = 1e-9
@@ -67,78 +69,75 @@ class CriticalPathResult:
         return max(self.phase_seconds, key=lambda p: self.phase_seconds[p])
 
 
-def _match_sender_xfer(
-    xfers: Dict[Tuple[int, int], List[Span]],
-    src: int,
-    dst: int,
-    tag: Optional[int],
-    not_after: float,
-) -> Optional[Span]:
-    """Latest xfer span src→dst ending at or before ``not_after``;
-    prefers an exact tag match when the wait recorded one."""
-    candidates = xfers.get((src, dst))
-    if not candidates:
-        return None
-    best = None
-    for sp in candidates:
-        if sp.end > not_after + _EPS:
-            break  # sorted by end
-        if tag is not None and sp.attrs.get("tag") != tag:
-            continue
-        best = sp
-    if best is None and tag is not None:
-        # Fall back to any-tag matching (e.g. staged transfers).
-        return _match_sender_xfer(xfers, src, dst, None, not_after)
-    return best
+def _slices(keys: np.ndarray) -> Dict[tuple, Tuple[int, int]]:
+    """``key -> [lo, hi)`` for the runs of equal rows in sorted ``keys``."""
+    if not len(keys):
+        return {}
+    edges = np.flatnonzero((keys[1:] != keys[:-1]).any(axis=1)) + 1
+    bounds = [0, *edges.tolist(), len(keys)]
+    return {
+        tuple(keys[lo].tolist()): (lo, hi) for lo, hi in zip(bounds, bounds[1:])
+    }
 
 
-def critical_path(spans: List[Span], elapsed: float) -> CriticalPathResult:
+def critical_path(spans, elapsed: float) -> CriticalPathResult:
     """Extract the critical path from a span set (see module docstring)."""
-    ranked = [s for s in spans if s.rank >= 0 and s.end > s.start]
-    if not ranked:
+    t = ProfileInput.of(spans)
+    start, end, rank = t.start, t.end, t.rank
+    ranked = np.flatnonzero((rank >= 0) & (end > start))
+    if not len(ranked):
         return CriticalPathResult([], {}, elapsed, 0.0)
 
-    by_rank: Dict[int, List[Span]] = {}
-    xfers: Dict[Tuple[int, int], List[Span]] = {}
-    for sp in ranked:
-        by_rank.setdefault(sp.rank, []).append(sp)
-        if sp.cat == "comm" and sp.name == "xfer" and "dst" in sp.attrs:
-            xfers.setdefault((sp.rank, int(sp.attrs["dst"])), []).append(sp)
-    for lst in by_rank.values():
-        lst.sort(key=lambda s: (s.end, s.start))
-    rank_ends: Dict[int, List[float]] = {
-        r: [s.end for s in lst] for r, lst in by_rank.items()
-    }
-    for lst in xfers.values():
-        lst.sort(key=lambda s: s.end)
+    # Each rank's spans by (end, start), and each (src, dst) pair's xfer
+    # spans by end — stable, so ties stay in span order.
+    by_rank = ranked[np.lexsort((start[ranked], end[ranked], rank[ranked]))]
+    rank_ends = end[by_rank].tolist()
+    rank_slice = _slices(rank[by_rank][:, None])
+    xfers = ranked[t.xfers[ranked]]
+    xfers = xfers[np.lexsort((end[xfers], t.x_dst[xfers], rank[xfers]))]
+    xfer_ends = end[xfers].tolist()
+    xfer_tags = t.x_tag[xfers]
+    pair_slice = _slices(np.stack([rank[xfers], t.x_dst[xfers]], axis=1))
 
-    def rank_predecessor(rank: int, not_after: float) -> Optional[Span]:
-        lst = by_rank.get(rank)
-        if not lst:
-            return None
-        i = bisect.bisect_right(rank_ends[rank], not_after + _EPS) - 1
-        return lst[i] if i >= 0 else None
+    def rank_predecessor(r: int, not_after: float) -> Optional[int]:
+        lo, hi = rank_slice.get((r,), (0, 0))
+        i = bisect.bisect_right(rank_ends, not_after + _EPS, lo, hi) - 1
+        return int(by_rank[i]) if i >= lo else None
 
-    cur = max(ranked, key=lambda s: s.end)
-    segments: List[PathSegment] = []
+    def sender_xfer(src, dst, tag, not_after: float) -> Optional[int]:
+        """Latest xfer span src→dst ending at or before ``not_after``;
+        prefers an exact tag match when the wait recorded one, else
+        falls back to any tag (e.g. staged transfers)."""
+        lo, hi = pair_slice.get((src, dst), (0, 0))
+        k = bisect.bisect_right(xfer_ends, not_after + _EPS, lo, hi)
+        if tag != NONE:
+            hits = np.flatnonzero(xfer_tags[lo:k] == tag)
+            if len(hits):
+                return int(xfers[lo + hits[-1]])
+        return int(xfers[k - 1]) if k > lo else None
+
+    recv = t.where(name="wait_recv") & (t.x_src != NONE)
+    cur: Optional[int] = int(ranked[np.argmax(end[ranked])])
+    path: List[int] = []
     seen = set()
     # Each hop moves to a span ending no later than the current one; the
     # seen-set guards against equal-end ties looping forever.
-    while cur is not None and id(cur) not in seen:
-        seen.add(id(cur))
-        segments.append(PathSegment(cur, phase_of_span(cur), step_of_span(cur)))
-        if cur.name == "wait_recv" and "src" in cur.attrs:
-            nxt = _match_sender_xfer(
-                xfers, int(cur.attrs["src"]), cur.rank,
-                cur.attrs.get("tag"), cur.end,
+    while cur is not None and cur not in seen:
+        seen.add(cur)
+        path.append(cur)
+        nxt = None
+        if recv[cur]:
+            nxt = sender_xfer(
+                int(t.x_src[cur]), int(rank[cur]), t.x_tag[cur], float(end[cur])
             )
-            if nxt is None or id(nxt) in seen:
-                nxt = rank_predecessor(cur.rank, cur.start)
-        else:
-            nxt = rank_predecessor(cur.rank, cur.start)
+        if nxt is None or nxt in seen:
+            nxt = rank_predecessor(int(rank[cur]), float(start[cur]))
         cur = nxt
-
-    segments.reverse()
+    path.reverse()
+    segments = [
+        PathSegment(span, *t.phase_step(i))
+        for i, span in zip(path, t.take(np.array(path)))
+    ]
 
     phase_seconds: Dict[str, float] = {}
     step_bound: Dict[int, Dict[str, float]] = {}

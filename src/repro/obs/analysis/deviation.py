@@ -21,8 +21,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
-from repro.obs.analysis.loaders import phase_of_span
-from repro.obs.tracer import Span
+import numpy as np
+
+from repro.obs.analysis.loaders import ProfileInput
 
 #: measured comm-phase name → model breakdown key
 _MODEL_KEY = {
@@ -71,28 +72,24 @@ class DeviationReport:
         return max(scored, key=lambda p: abs(p.deviation))
 
 
-def measured_phase_seconds(
-    spans: List[Span], num_ranks: int
-) -> Dict[str, float]:
+def measured_phase_seconds(spans, num_ranks: int) -> Dict[str, float]:
     """Busiest-rank seconds per phase, from executor + wait spans.
 
     Executor spans contribute compute phases; ``wait_recv`` spans
     contribute the *exposed* communication their tag decodes to.  Other
     engine waits (send drain, collectives) land in their own buckets.
     """
-    per: Dict[str, List[float]] = {}
-    for sp in spans:
-        if sp.rank < 0 or sp.rank >= num_ranks:
-            continue
-        if sp.cat not in ("executor", "engine"):
-            continue
-        phase = phase_of_span(sp)
-        per.setdefault(phase, [0.0] * num_ranks)[sp.rank] += sp.end - sp.start
+    t = ProfileInput.of(spans)
+    mask = (
+        (t.rank >= 0) & (t.rank < num_ranks)
+        & (t.where("executor") | t.where("engine"))
+    )
+    per = t.phase_rank_seconds(mask, num_ranks)
     return {phase: max(times) for phase, times in sorted(per.items())}
 
 
 def model_vs_measured(
-    spans: List[Span],
+    spans,
     cfg,
     elapsed: float,
     num_ranks: int,
@@ -101,18 +98,15 @@ def model_vs_measured(
     from repro.model.perf_model import estimate_run
 
     est = estimate_run(cfg)
-    measured = measured_phase_seconds(spans, num_ranks)
+    t = ProfileInput.of(spans)
+    measured = measured_phase_seconds(t, num_ranks)
 
     # Refinement measured time: prefer the driver's phase span; fall
     # back to the busiest rank's IR kernel + wait time.
-    driver_ir = [
-        sp.end - sp.start
-        for sp in spans
-        if sp.cat == "driver" and sp.name == "refinement"
-    ]
+    driver_ir = np.flatnonzero(t.where("driver", "refinement"))
     ir_measured = (
-        driver_ir[0]
-        if driver_ir
+        float(t.dur[driver_ir[0]])
+        if len(driver_ir)
         else measured.get("ir", 0.0) + measured.get("collective", 0.0)
     )
 

@@ -18,10 +18,11 @@ spans.  This module turns a span set into:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List
+from typing import List
 
-from repro.obs.analysis.loaders import phase_of_span
-from repro.obs.tracer import Span
+import numpy as np
+
+from repro.obs.analysis.loaders import ProfileInput
 from repro.tools.slownode import flag_outliers
 
 
@@ -78,7 +79,7 @@ class ImbalanceReport:
 
 
 def load_imbalance(
-    spans: List[Span],
+    spans,
     elapsed: float,
     num_ranks: int,
     threshold: float = 0.02,
@@ -89,21 +90,19 @@ def load_imbalance(
     (``wait_recv`` etc.).  NIC-occupancy ``xfer`` spans overlap the
     sender's timeline and are excluded from both.
     """
-    busy = [0.0] * num_ranks
-    wait = [0.0] * num_ranks
+    t = ProfileInput.of(spans)
+    ranked = (t.rank >= 0) & (t.rank < num_ranks)
+
+    def per_rank(mask):
+        return np.bincount(
+            t.rank[mask], weights=t.dur[mask], minlength=num_ranks
+        ).tolist()
+
+    executor = ranked & t.where("executor")
+    busy, wait = per_rank(executor), per_rank(ranked & t.where("engine"))
     # phase -> per-rank seconds (busy phases only: waits are the
     # *symptom* of imbalance, not its location)
-    per_phase: Dict[str, List[float]] = {}
-    for sp in spans:
-        if sp.rank < 0 or sp.rank >= num_ranks:
-            continue
-        dur = sp.end - sp.start
-        if sp.cat == "executor":
-            busy[sp.rank] += dur
-            phase = phase_of_span(sp)
-            per_phase.setdefault(phase, [0.0] * num_ranks)[sp.rank] += dur
-        elif sp.cat == "engine":
-            wait[sp.rank] += dur
+    per_phase = t.phase_rank_seconds(executor, num_ranks)
 
     ranks = [
         RankLoad(rank=r, busy_s=busy[r], wait_s=wait[r], elapsed=elapsed)

@@ -1,8 +1,8 @@
 """Span loading and normalization for the analysis layer.
 
-Every analysis in this package runs off one normalized input — a flat
-list of :class:`~repro.obs.tracer.Span` objects plus whatever metadata
-rode along (provenance, metrics snapshot) — so the same critical-path /
+Every analysis in this package runs off one normalized input — a
+:class:`ProfileInput`: the tracer's columns plus whatever metadata rode
+along (provenance, metrics snapshot) — so the same critical-path /
 imbalance / comm-matrix code works on:
 
 - a live :class:`~repro.obs.SpanTracer` (or ``Observability`` handle),
@@ -14,22 +14,22 @@ benchmark phases (:func:`phase_of_span`): executor kernel kinds map to
 themselves, refinement kernels collapse into ``ir``, and comm/wait
 spans are decoded through their wire-tag attr
 (:func:`repro.obs.phases.decode_wire_tag`) into ``diag_bcast`` /
-``panel_bcast`` / ``ir`` traffic.
+``panel_bcast`` / ``ir`` traffic.  The mapping is resolved once per
+distinct ``(cat, name, tag)``, never once per span.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from functools import cached_property, lru_cache
 from pathlib import Path
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
+
+import numpy as np
 
 from repro.errors import ConfigurationError
 from repro.obs.phases import decode_wire_tag
-from repro.obs.tracer import Span, SpanTracer
-
-#: executor span names that are benchmark phases of their own
-_EXECUTOR_PHASES = {"getrf", "trsm", "cast", "gemm", "fill", "d2h"}
+from repro.obs.tracer import NONE, Span, SpanColumns, SpanTracer
 
 #: executor span names that belong to the refinement solve
 _IR_KERNELS = {"gemv", "trsv", "ir_gemv", "ir_setup", "ir_update"}
@@ -37,26 +37,113 @@ _IR_KERNELS = {"gemv", "trsv", "ir_gemv", "ir_setup", "ir_update"}
 #: engine wait kinds that are synchronization, not point-to-point comm
 _COLLECTIVE_WAITS = {"wait_allreduce", "wait_reduce", "wait_barrier"}
 
-
-@dataclass
-class ProfileInput:
-    """Normalized analysis input: spans + run metadata."""
-
-    spans: List[Span]
-    #: wall time of the observed window (max span end, virtual seconds)
-    elapsed: float
-    #: world size implied by the spans (max rank + 1)
-    num_ranks: int
-    provenance: Optional[dict] = None
-    #: metrics snapshot exported alongside the trace, if any
-    metrics: Optional[dict] = None
-    source: str = "<tracer>"
+#: what a mistyped or out-of-range field of a trace record raises
+_BAD_RECORD = (TypeError, ValueError, OverflowError, ConfigurationError)
 
 
-def _bounds(spans: List[Span]) -> Tuple[float, int]:
-    elapsed = max((s.end for s in spans), default=0.0)
-    num_ranks = max((s.rank for s in spans), default=-1) + 1
-    return elapsed, num_ranks
+def distinct_rows(*columns: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Group equal rows of parallel integer columns: ``(index of each
+    group's first row, group of every row)``.  (Dense per-column codes
+    composed into one key: a 1-D sort, where ``np.unique(axis=0)`` sorts
+    byte strings.)"""
+    key = np.zeros(len(columns[0]), dtype=np.int64)
+    for column in columns:
+        values, code = np.unique(column, return_inverse=True)
+        key = key * len(values) + code
+    _, first, group = np.unique(key, return_index=True, return_inverse=True)
+    return first, group
+
+
+class ProfileInput(SpanColumns):
+    """Normalized analysis input: span columns + run metadata.
+
+    On top of the tracer's columns: ``dur`` (``end - start``) and
+    ``x_dst`` / ``x_src`` / ``x_tag`` / ``x_bytes`` / ``x_intra``, which
+    fold the typed transfer lane and the free-form attrs into one
+    integer column per key (:data:`~repro.obs.tracer.NONE` = the span
+    has no such attr).  :attr:`spans` materialises objects for callers
+    that iterate them.
+
+    Reductions over these columns must add in span order —
+    ``np.bincount(weights=)``, ``np.add.at`` or a plain loop, never
+    ``np.sum``'s pairwise tree — so a profile is the same document,
+    to the last bit, as the per-span loops it replaced produced.
+    """
+
+    def __init__(
+        self,
+        tracer: SpanTracer,
+        provenance: Optional[dict] = None,
+        metrics: Optional[dict] = None,
+        source: str = "<tracer>",
+    ) -> None:
+        super().__init__(tracer)
+        self.provenance = provenance
+        #: metrics snapshot exported alongside the trace, if any
+        self.metrics = metrics
+        self.source = source
+        #: wall time of the observed window (max span end, virtual seconds)
+        self.elapsed = float(self.end.max()) if len(self) else 0.0
+        #: world size implied by the spans (max rank + 1)
+        self.num_ranks = int(self.rank.max(initial=-1)) + 1
+        self.dur = self.end - self.start
+        self.x_dst = np.where(self.dst >= 0, self.dst, NONE)
+        self.x_src = np.full(len(self), NONE)
+        self.x_tag = self.tag.copy()
+        self.x_bytes = self.nbytes.copy()
+        self.x_intra = self.intra.astype(bool)
+        for i, attrs in self.extra.items():
+            if attrs.get("tag") is not None:
+                self.x_tag[i] = int(attrs["tag"])
+            if "src" in attrs:
+                self.x_src[i] = int(attrs["src"])
+            if "dst" in attrs:
+                self.x_dst[i] = int(attrs["dst"])
+                self.x_bytes[i] = int(attrs.get("bytes", 0))
+                self.x_intra[i] = bool(attrs.get("intra"))
+
+    @cached_property
+    def spans(self) -> List[Span]:
+        return list(self)
+
+    @cached_property
+    def xfers(self) -> np.ndarray:
+        """Mask of the point-to-point transfer spans (``comm``/``xfer``
+        with a ``dst``)."""
+        return self.where("comm", "xfer") & (self.x_dst != NONE)
+
+    def phase_step(self, i: int) -> Tuple[str, Optional[int]]:
+        """``(phase, factorization step)`` of span ``i``."""
+        tag = int(self.x_tag[i])
+        return _phase_step(
+            self.cats[self.cat[i]], self.names[self.name[i]],
+            None if tag == NONE else tag,
+        )
+
+    @cached_property
+    def phases(self) -> Tuple[np.ndarray, List[str]]:
+        """``(phase id per span, phase names)``, resolved once per
+        distinct ``(cat, name, tag)``."""
+        first, kind_of = distinct_rows(self.cat, self.name, self.x_tag)
+        names: Dict[str, int] = {}
+        ids = [
+            names.setdefault(self.phase_step(i)[0], len(names))
+            for i in first.tolist()
+        ]
+        return np.array(ids, dtype=int)[kind_of], list(names)
+
+    def phase_rank_seconds(
+        self, mask: np.ndarray, num_ranks: int
+    ) -> Dict[str, List[float]]:
+        """Per-rank summed duration of the masked spans, by phase (only
+        phases the mask touches; ``mask`` must imply ``0 <= rank <
+        num_ranks``)."""
+        ids, names = self.phases
+        sums = np.bincount(
+            ids[mask] * num_ranks + self.rank[mask], weights=self.dur[mask],
+            minlength=len(names) * num_ranks,
+        ).reshape(len(names), num_ranks)
+        return {names[p]: sums[p].tolist() for p in np.unique(ids[mask]).tolist()}
 
 
 def from_tracer(
@@ -64,13 +151,8 @@ def from_tracer(
     provenance: Optional[dict] = None,
     metrics: Optional[dict] = None,
 ) -> ProfileInput:
-    """Wrap a live tracer's spans as analysis input."""
-    spans = tracer.spans
-    elapsed, num_ranks = _bounds(spans)
-    return ProfileInput(
-        spans=spans, elapsed=elapsed, num_ranks=num_ranks,
-        provenance=provenance, metrics=metrics,
-    )
+    """Snapshot a live tracer's spans as analysis input."""
+    return ProfileInput(tracer, provenance, metrics)
 
 
 def from_observability(obs) -> ProfileInput:
@@ -91,7 +173,7 @@ def _rank_of_tid(tid: int, labels: dict) -> int:
     return tid
 
 
-def _spans_from_chrome(doc: dict) -> List[Span]:
+def _fill_from_chrome(tracer: SpanTracer, doc: dict) -> None:
     events = doc.get("traceEvents")
     if not isinstance(events, list):
         raise ConfigurationError(
@@ -103,101 +185,122 @@ def _spans_from_chrome(doc: dict) -> List[Span]:
         if isinstance(ev, dict) and ev.get("ph") == "M"
         and ev.get("name") == "thread_name"
     }
-    spans = []
-    for ev in events:
+    lanes: dict = {}  # tid -> rank, resolved once per lane
+    for n, ev in enumerate(events):
         if not isinstance(ev, dict) or ev.get("ph") != "X":
             continue
-        start = float(ev.get("ts", 0.0)) / 1e6
-        dur = float(ev.get("dur", 0.0)) / 1e6
-        spans.append(Span(
-            name=ev.get("name", ""),
-            cat=ev.get("cat", ""),
-            start=start,
-            end=start + dur,
-            rank=_rank_of_tid(ev.get("tid", -1), labels),
-            attrs=dict(ev.get("args", {})),
-        ))
-    return spans
+        try:
+            tid = ev.get("tid", -1)
+            if tid not in lanes:
+                lanes[tid] = _rank_of_tid(tid, labels)
+            start = float(ev.get("ts", 0.0)) / 1e6
+            tracer.add(
+                ev.get("name", ""), ev.get("cat", ""), start,
+                start + float(ev.get("dur", 0.0)) / 1e6, lanes[tid],
+                ev.get("args"),
+            )
+        except _BAD_RECORD as exc:
+            raise ConfigurationError(f"traceEvents[{n}]: {exc}") from None
 
 
-def _spans_from_jsonl(path: Path) -> List[Span]:
-    spans = []
-    with path.open() as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
+def _fill_from_jsonl(tracer: SpanTracer, lines) -> None:
+    for n, line in enumerate(lines, 1):
+        if not line.strip():
+            continue
+        try:
             rec = json.loads(line)
-            spans.append(Span(
-                name=rec.get("name", ""),
-                cat=rec.get("cat", ""),
-                start=float(rec.get("start_s", 0.0)),
-                end=float(rec.get("end_s", 0.0)),
-                rank=int(rec.get("rank", -1)),
-                attrs=dict(rec.get("attrs") or {}),
-            ))
-    return spans
+            if not isinstance(rec, dict):
+                raise ValueError("not a JSON object")
+            tracer.add(
+                rec.get("name", ""), rec.get("cat", ""),
+                float(rec.get("start_s", 0.0)), float(rec.get("end_s", 0.0)),
+                int(rec.get("rank", -1)), rec.get("attrs"),
+            )
+        except _BAD_RECORD as exc:
+            raise ConfigurationError(f"line {n}: {exc}") from None
 
 
 def load_profile_input(path) -> ProfileInput:
-    """Load an exported trace artifact (Chrome JSON or JSONL spans)."""
+    """Load an exported trace artifact (Chrome JSON or JSONL spans).
+
+    A ``.jsonl`` suffix means a span log; anything else must be one JSON
+    document whose first non-blank character is ``{``.  Empty,
+    truncated and mistyped input raises
+    :class:`~repro.errors.ConfigurationError` naming the file (and the
+    line or event).
+    """
     p = Path(path)
     if not p.exists():
         raise ConfigurationError(f"trace file {p} does not exist")
-    text_head = p.open().read(1).strip()
-    if p.suffix == ".jsonl" or text_head not in ("{",):
-        spans = _spans_from_jsonl(p)
-        prov = metrics = None
-    else:
-        try:
-            doc = json.loads(p.read_text())
-        except ValueError as exc:
-            raise ConfigurationError(f"{p}: not valid JSON: {exc}") from None
-        if isinstance(doc, dict) and "traceEvents" in doc:
-            spans = _spans_from_chrome(doc)
-            other = doc.get("otherData") or {}
-            prov = other.get("provenance")
-            metrics = other.get("metrics")
-        else:
-            raise ConfigurationError(
-                f"{p}: neither a Chrome trace (no 'traceEvents') nor a "
-                "JSONL span log"
-            )
-    elapsed, num_ranks = _bounds(spans)
-    return ProfileInput(
-        spans=spans, elapsed=elapsed, num_ranks=num_ranks,
-        provenance=prov, metrics=metrics, source=str(p),
-    )
+    tracer = SpanTracer()
+    prov = metrics = None
+    try:
+        with p.open() as fh:
+            if p.suffix == ".jsonl":
+                _fill_from_jsonl(tracer, fh)
+                if not len(tracer):
+                    raise ConfigurationError("is empty")
+            else:
+                text = fh.read()
+                if text.lstrip()[:1] != "{":
+                    raise ConfigurationError(
+                        "is empty" if not text.strip() else
+                        "neither a Chrome trace (not a JSON object) nor a "
+                        "'.jsonl' span log"
+                    )
+                try:
+                    doc = json.loads(text)
+                except ValueError as exc:
+                    raise ConfigurationError(f"not valid JSON: {exc}") from None
+                if "traceEvents" not in doc:
+                    raise ConfigurationError(
+                        "neither a Chrome trace (no 'traceEvents') nor a "
+                        "JSONL span log"
+                    )
+                _fill_from_chrome(tracer, doc)
+                other = doc.get("otherData") or {}
+                prov = other.get("provenance")
+                metrics = other.get("metrics")
+    except ConfigurationError as exc:
+        raise ConfigurationError(f"{p}: {exc}") from None
+    return ProfileInput(tracer, prov, metrics, source=str(p))
 
 
 # -- semantic mapping -------------------------------------------------------
 
+@lru_cache(maxsize=4096)
+def _phase_step(
+    cat: str, name: str, tag: Optional[int]
+) -> Tuple[str, Optional[int]]:
+    """``(benchmark phase, factorization step)`` of a span kind — what
+    :func:`phase_of_span` / :func:`step_of_span` report, memoized: a run
+    has a few hundred distinct ``(cat, name, tag)``."""
+    wire, step = ("comm", None) if tag is None else decode_wire_tag(int(tag))
+    if cat == "executor":
+        if name in _IR_KERNELS:
+            return "ir", step
+        return name or "other", step
+    if cat in ("comm", "engine"):
+        return ("collective" if name in _COLLECTIVE_WAITS else wire), step
+    if cat == "driver":
+        return name, step
+    return cat or "other", step
+
+
+def _kind_of(span: Span) -> Tuple[str, Optional[int]]:
+    return _phase_step(
+        span.cat, span.name, span.attrs.get("tag") if span.attrs else None
+    )
+
+
 def phase_of_span(span: Span) -> str:
     """Benchmark-phase bucket of one span (see module docstring)."""
-    if span.cat == "executor":
-        if span.name in _EXECUTOR_PHASES:
-            return span.name
-        if span.name in _IR_KERNELS:
-            return "ir"
-        return span.name or "other"
-    if span.cat in ("comm", "engine"):
-        if span.name in _COLLECTIVE_WAITS:
-            return "collective"
-        tag = span.attrs.get("tag") if span.attrs else None
-        if tag is not None:
-            return decode_wire_tag(int(tag))[0]
-        return "comm"
-    if span.cat == "driver":
-        return span.name
-    return span.cat or "other"
+    return _kind_of(span)[0]
 
 
 def step_of_span(span: Span) -> Optional[int]:
     """Factorization step ``k`` a comm span belongs to (None if unknown)."""
-    tag = span.attrs.get("tag") if span.attrs else None
-    if tag is None:
-        return None
-    return decode_wire_tag(int(tag))[1]
+    return _kind_of(span)[1]
 
 
 def config_from_provenance(prov: dict):

@@ -276,14 +276,14 @@ def build_profile(
     rebuilt from the input's provenance when possible (``with_model=
     False`` skips the section entirely).
     """
-    if not pi.spans:
+    if not len(pi):
         raise ConfigurationError(
             f"{pi.source}: no spans to analyze (was the run traced?)"
         )
-    path = critical_path(pi.spans, pi.elapsed)
-    imb = load_imbalance(pi.spans, pi.elapsed, pi.num_ranks, threshold)
-    comm = comm_matrix(pi.spans, pi.num_ranks)
-    phase_seconds = measured_phase_seconds(pi.spans, pi.num_ranks)
+    path = critical_path(pi, pi.elapsed)
+    imb = load_imbalance(pi, pi.elapsed, pi.num_ranks, threshold)
+    comm = comm_matrix(pi, pi.num_ranks)
+    phase_seconds = measured_phase_seconds(pi, pi.num_ranks)
     deviation = None
     if with_model:
         if cfg is None and pi.provenance:
@@ -293,13 +293,13 @@ def build_profile(
                 cfg = None
         if cfg is not None:
             deviation = model_vs_measured(
-                pi.spans, cfg, pi.elapsed, pi.num_ranks
+                pi, cfg, pi.elapsed, pi.num_ranks
             )
     return ProfileReport(
         source=pi.source,
         elapsed=pi.elapsed,
         num_ranks=pi.num_ranks,
-        num_spans=len(pi.spans),
+        num_spans=len(pi),
         path=path,
         imbalance=imb,
         comm=comm,

@@ -2,20 +2,27 @@
 
 Three machine-readable views of one telemetry stream:
 
-- :func:`to_chrome_trace` — the ``trace_event`` JSON format loadable in
-  ``chrome://tracing`` or https://ui.perfetto.dev (spans become ``"X"``
-  complete events; ranks become thread lanes, categories become event
-  ``cat`` values; the provenance block rides in ``otherData``);
+- :func:`write_chrome_trace` / :func:`to_chrome_trace` — the
+  ``trace_event`` JSON format loadable in ``chrome://tracing`` or
+  https://ui.perfetto.dev (spans become ``"X"`` complete events; ranks
+  become thread lanes, categories become event ``cat`` values; the
+  provenance block rides in ``otherData``);
 - :func:`write_jsonl` — one JSON object per span, append-friendly, the
   format to diff/grep across recorded campaigns;
 - :func:`to_prometheus_text` — a flat Prometheus-exposition-style dump
   of the metrics registry (counters/gauges as samples, histograms as
   cumulative ``_bucket``/``_sum``/``_count`` series).
 
-All exporters serialize through :func:`sanitize_json`, which maps
-non-finite floats to ``null`` so the output is *strict* JSON (Python's
-``json.dumps`` would otherwise emit bare ``NaN``/``Infinity`` tokens
-that other parsers reject).
+The span exporters stream from the tracer's columns
+(:class:`~repro.obs.tracer.SpanColumns`): an index sort gives the
+export order, every event is formatted once, straight to text, and no
+event list or document tree is built.  The text is what
+``json.dumps`` would write for the same document — ``repr`` for finite
+floats, ``null`` for non-finite ones, so the output is *strict* JSON
+(``json.dumps`` alone would emit bare ``NaN``/``Infinity`` tokens that
+other parsers reject).  :func:`sanitize_json` applies that rule to the
+small documents serialized whole (``otherData``, free-form span attrs,
+reports).
 """
 
 from __future__ import annotations
@@ -23,10 +30,12 @@ from __future__ import annotations
 import json
 import math
 from pathlib import Path
-from typing import Iterable, List, Optional, Sequence, Union
+from typing import Iterable, Iterator, List, Optional, Sequence, Union
+
+import numpy as np
 
 from repro.obs.metrics import Histogram, MetricsRegistry
-from repro.obs.tracer import SpanTracer
+from repro.obs.tracer import NONE, Span, SpanColumns, SpanTracer
 
 #: schema version stamped into exported Chrome traces
 TRACE_SCHEMA_VERSION = 1
@@ -51,13 +60,18 @@ def dumps_strict(obj, **kwargs) -> str:
     return json.dumps(sanitize_json(obj), allow_nan=False, **kwargs)
 
 
-def filter_spans(
-    spans: Iterable,
+def _num(x: float) -> str:
+    """A float as ``json.dumps`` writes it, non-finite as ``null``."""
+    return repr(x) if x - x == 0.0 else "null"
+
+
+def select_spans(
+    cols: SpanColumns,
     cats: Optional[Sequence[str]] = None,
     ranks: Optional[Sequence[int]] = None,
     sort: bool = False,
-) -> List:
-    """Select and order spans for export.
+) -> np.ndarray:
+    """Indices of the spans to export, in export order.
 
     ``cats`` / ``ranks`` keep only matching categories / rank lanes
     (None = keep all).  ``sort=True`` applies the canonical ordering
@@ -65,16 +79,59 @@ def filter_spans(
     byte-identical regardless of buffer/merge interleaving — which is
     what makes trace files diffable across runs.
     """
-    cat_set = set(cats) if cats is not None else None
-    rank_set = set(ranks) if ranks is not None else None
-    out = [
-        s for s in spans
-        if (cat_set is None or s.cat in cat_set)
-        and (rank_set is None or s.rank in rank_set)
-    ]
+    keep = np.ones(len(cols), dtype=bool)
+    if cats is not None:
+        keep &= np.isin(cols.cat, [i for i, c in enumerate(cols.cats) if c in cats])
+    if ranks is not None:
+        keep &= np.isin(cols.rank, list(ranks))
+    idx = np.flatnonzero(keep)
     if sort:
-        out.sort(key=lambda s: (s.start, s.end, s.rank, s.cat, s.name))
-    return out
+        def by_text(labels, ids):  # each id's position among the sorted labels
+            pos = {label: k for k, label in enumerate(sorted(labels))}
+            return np.array([pos[label] for label in labels], dtype=int)[ids]
+
+        idx = idx[np.lexsort((
+            by_text(cols.names, cols.name[idx]), by_text(cols.cats, cols.cat[idx]),
+            cols.rank[idx], cols.end[idx], cols.start[idx],
+        ))]
+    return idx
+
+
+def filter_spans(
+    spans: "Union[SpanTracer, Iterable[Span]]",
+    cats: Optional[Sequence[str]] = None,
+    ranks: Optional[Sequence[int]] = None,
+    sort: bool = False,
+) -> List[Span]:
+    """The spans :func:`select_spans` picks, as objects."""
+    cols = SpanColumns.of(spans)
+    return cols.take(select_spans(cols, cats, ranks, sort))
+
+
+def _span_text(cols: SpanColumns, idx: np.ndarray, head: str):
+    """Per selected span: ``(head with name and cat filled in, start,
+    end, rank, attrs as JSON text or None)``."""
+    kinds = cols.name[idx] * len(cols.cats) + cols.cat[idx]
+    heads = {
+        kind: head % (json.dumps(cols.names[kind // len(cols.cats)]),
+                      json.dumps(cols.cats[kind % len(cols.cats)]))
+        for kind in np.unique(kinds).tolist()
+    }
+    extra = cols.extra
+    for i, kind, start, end, rank, dst, nbytes, intra, tag in zip(
+        idx.tolist(), kinds.tolist(), *(
+            col[idx].tolist() for col in (cols.start, cols.end, cols.rank,
+                                          cols.dst, cols.nbytes, cols.intra, cols.tag)
+        )
+    ):
+        if dst >= 0:
+            attrs = (f'{{"dst": {dst}, "bytes": {nbytes}, "intra": '
+                     f'{"true" if intra else "false"}')
+            attrs += "}" if tag == NONE else f', "tag": {tag}}}'
+        else:
+            attrs = extra.get(i)
+            attrs = dumps_strict(attrs) if attrs else None
+        yield heads[kind], start, end, rank, attrs
 
 
 def _resolve(source: "Union[SpanTracer, object]"):
@@ -83,6 +140,44 @@ def _resolve(source: "Union[SpanTracer, object]"):
     metrics = getattr(source, "metrics", None)
     provenance = getattr(source, "provenance", None)
     return tracer, metrics, provenance
+
+
+def _chrome_text(
+    source, provenance=None, include_metrics=True, pid=0, cats=None,
+    ranks=None, sort=False,
+) -> Iterator[str]:
+    """The Chrome trace document as JSON text, in pieces."""
+    tracer, metrics, auto_prov = _resolve(source)
+    provenance = provenance if provenance is not None else auto_prov
+    cols = tracer.columns()
+    idx = select_spans(cols, cats, ranks, sort)
+    driver_tid = int(cols.rank.max(initial=-1)) + 1
+
+    def thread(tid, name, kind="thread_name"):
+        return json.dumps({"name": kind, "ph": "M", "pid": pid, "tid": tid,
+                           "args": {"name": name}})
+
+    lanes = np.unique(np.where(cols.rank[idx] >= 0, cols.rank[idx], driver_tid))
+    yield '{"traceEvents": [' + ", ".join(
+        [thread(0, "repro virtual machine", "process_name")]
+        + [thread(t, f"rank {t}" if t < driver_tid else "driver") for t in lanes.tolist()]
+    )
+    tail = f', "pid": {json.dumps(pid)}, "tid": '
+    for head, start, end, rank, attrs in _span_text(
+        cols, idx, ', {"name": %s, "cat": %s, "ph": "X", "ts": '
+    ):
+        yield (
+            f'{head}{_num(start * _US)}, "dur": {_num((end - start) * _US)}'
+            f'{tail}{rank if rank >= 0 else driver_tid}'
+            + (f', "args": {attrs}}}' if attrs else "}")
+        )
+
+    other: dict = {"schema": TRACE_SCHEMA_VERSION, "dropped_spans": tracer.dropped}
+    if provenance is not None:
+        other["provenance"] = provenance
+    if include_metrics and metrics is not None and len(metrics):
+        other["metrics"] = metrics.snapshot()
+    yield '], "displayTimeUnit": "ms", "otherData": ' + dumps_strict(other) + "}"
 
 
 def to_chrome_trace(
@@ -100,71 +195,24 @@ def to_chrome_trace(
     a bare :class:`SpanTracer`.  Each rank becomes one thread lane
     (``tid = rank``); spans with ``rank < 0`` (driver-level phases) land
     in a dedicated lane after the largest rank.  ``cats`` / ``ranks`` /
-    ``sort`` select and canonically order spans (:func:`filter_spans`);
+    ``sort`` select and canonically order spans (:func:`select_spans`);
     the driver lane stays after the largest rank *seen in the full
     stream* so filtered exports keep stable lane numbering.
+
+    The document is parsed back from the text :func:`write_chrome_trace`
+    writes, so there is one definition of an event.
     """
-    tracer, metrics, auto_prov = _resolve(source)
-    provenance = provenance if provenance is not None else auto_prov
-    max_rank = max((s.rank for s in tracer), default=-1)
-    driver_tid = max_rank + 1
-
-    events = []
-    seen_tids = set()
-    for s in filter_spans(tracer, cats=cats, ranks=ranks, sort=sort):
-        tid = s.rank if s.rank >= 0 else driver_tid
-        seen_tids.add(tid)
-        ev = {
-            "name": s.name,
-            "cat": s.cat,
-            "ph": "X",
-            "ts": s.start * _US,
-            "dur": s.duration * _US,
-            "pid": pid,
-            "tid": tid,
-        }
-        if s.attrs:
-            ev["args"] = dict(s.attrs)
-        events.append(ev)
-
-    meta = [
-        {
-            "name": "process_name",
-            "ph": "M",
-            "pid": pid,
-            "tid": 0,
-            "args": {"name": "repro virtual machine"},
-        }
-    ]
-    for tid in sorted(seen_tids):
-        label = f"rank {tid}" if tid < driver_tid else "driver"
-        meta.append({
-            "name": "thread_name",
-            "ph": "M",
-            "pid": pid,
-            "tid": tid,
-            "args": {"name": label},
-        })
-
-    other: dict = {"schema": TRACE_SCHEMA_VERSION, "dropped_spans": tracer.dropped}
-    if provenance is not None:
-        other["provenance"] = provenance
-    if include_metrics and metrics is not None and len(metrics):
-        other["metrics"] = metrics.snapshot()
-
-    return sanitize_json({
-        "traceEvents": meta + events,
-        "displayTimeUnit": "ms",
-        "otherData": other,
-    })
+    return json.loads("".join(_chrome_text(
+        source, provenance, include_metrics, pid, cats, ranks, sort
+    )))
 
 
 def write_chrome_trace(path, source, **kwargs) -> Path:
-    """Write :func:`to_chrome_trace` output; returns the path."""
+    """Stream the :func:`to_chrome_trace` document to ``path``; returns
+    the path."""
     path = Path(path)
-    path.write_text(
-        json.dumps(to_chrome_trace(source, **kwargs), allow_nan=False)
-    )
+    with path.open("w") as fh:
+        fh.writelines(_chrome_text(source, **kwargs))
     return path
 
 
@@ -177,21 +225,19 @@ def write_jsonl(
 ) -> Path:
     """One JSON object per span (rank/cat/name/start/end/attrs).
 
-    ``cats`` / ``ranks`` / ``sort`` as in :func:`filter_spans`.
+    ``cats`` / ``ranks`` / ``sort`` as in :func:`select_spans`.
     """
     path = Path(path)
+    cols = tracer.columns()
     with path.open("w") as fh:
-        for s in filter_spans(tracer, cats=cats, ranks=ranks, sort=sort):
-            fh.write(dumps_strict({
-                "name": s.name,
-                "cat": s.cat,
-                "rank": s.rank,
-                "start_s": s.start,
-                "end_s": s.end,
-                "dur_s": s.duration,
-                "attrs": s.attrs or {},
-            }))
-            fh.write("\n")
+        fh.writelines(
+            f'{head}{rank}, "start_s": {_num(start)}, "end_s": {_num(end)}, '
+            f'"dur_s": {_num(end - start)}, "attrs": {attrs or "{}"}}}\n'
+            for head, start, end, rank, attrs in _span_text(
+                cols, select_spans(cols, cats, ranks, sort),
+                '{"name": %s, "cat": %s, "rank": ',
+            )
+        )
     return path
 
 

@@ -243,7 +243,7 @@ def _timeline_svg(pi: ProfileInput, findings: list) -> str:
 
 
 def _heatmap_svg(pi: ProfileInput) -> str:
-    cm = comm_matrix(pi.spans, pi.num_ranks)
+    cm = comm_matrix(pi, pi.num_ranks)
     m = cm.matrix()
     n = min(len(m), MAX_TIMELINE_RANKS)
     if n == 0 or not cm.bytes_by_pair:

@@ -16,6 +16,13 @@ Three emission styles are supported:
   (defaults to :func:`time.perf_counter`), with nesting tracked so child
   spans carry their parent's id.
 
+Storage is **columnar**: one entry per span in parallel typed arrays
+(:data:`FIELDS`), ``name``/``cat`` interned to small ints.  The engine's
+transfer attrs ``{dst, bytes, intra[, tag]}`` — nine spans in ten — sit
+in four typed columns; any other attrs dict goes in a sparse table keyed
+by span index.  A :class:`Span` object exists only while a caller
+iterates; exporters and analyses read :meth:`SpanTracer.columns`.
+
 Memory is bounded with ``capacity``: the tracer becomes a ring that
 evicts the oldest spans and counts :attr:`SpanTracer.dropped` — the
 "don't let telemetry OOM the run" option for large simulations.
@@ -23,15 +30,31 @@ evicts the oldest spans and counts :attr:`SpanTracer.dropped` — the
 
 from __future__ import annotations
 
+import operator
 import time
-from collections import deque
+from array import array
+from collections import Counter
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.errors import ConfigurationError
 
 #: the (rank, start, end, kind) tuple consumed by the legacy Gantt tools
 TimelineSpan = Tuple[int, float, float, str]
+
+#: "absent" in an integer attribute column (a span without a ``tag``, ...)
+NONE = -(1 << 62)
+
+#: the columns, in storage order, and their :mod:`array` type codes; the
+#: last four are the typed transfer lane (``dst < 0``: not in the lane)
+FIELDS = ("name", "cat", "start", "end", "rank", "parent",
+          "dst", "nbytes", "intra", "tag")
+_CODES = "iiddiiiqbq"
+_NO_LANE = (-1, 0, False, NONE)
+_XFER_KEYS = ("dst", "bytes", "intra")
 
 
 @dataclass
@@ -55,20 +78,95 @@ class Span:
         return (self.rank, self.start, self.end, self.name)
 
 
-class _OpenSpan:
-    __slots__ = ("name", "cat", "rank", "start", "attrs", "parent")
+def _xfer_lane(attrs: Dict[str, Any]):
+    """``(dst, bytes, intra, tag)`` when ``attrs`` is exactly the
+    engine's transfer shape (keys, order and types), else None — so a
+    span read back from the typed columns equals the dict it came from."""
+    keys = tuple(attrs)
+    if keys != _XFER_KEYS and keys != _XFER_KEYS + ("tag",):
+        return None
+    dst, nbytes, intra = attrs["dst"], attrs["bytes"], attrs["intra"]
+    tag = attrs.get("tag", 0)
+    if (
+        type(dst) is type(nbytes) is type(tag) is int and type(intra) is bool
+        and 0 <= dst < 1 << 31 and 0 <= nbytes < -NONE and 0 <= tag < -NONE
+    ):
+        return dst, nbytes, intra, (tag if "tag" in attrs else NONE)
+    return None
 
-    def __init__(self, name, cat, rank, start, attrs, parent) -> None:
-        self.name = name
-        self.cat = cat
-        self.rank = rank
-        self.start = start
-        self.attrs = attrs
-        self.parent = parent
+
+def _intern(ids: Dict[str, int], label: str) -> int:
+    i = ids.get(label)
+    if i is None:
+        i = ids[label] = len(ids)
+    return i
+
+
+class SpanColumns:
+    """NumPy snapshot of a tracer's columns, in span order.
+
+    What exporters and the analysis layer read instead of ``Span``
+    objects: one array per :data:`FIELDS` entry (``name`` / ``cat``
+    index :attr:`names` / :attr:`cats`), plus :attr:`extra`, the attrs
+    of spans outside the typed lane, keyed by span index.  The arrays
+    are copies, so the tracer may keep recording.
+    """
+
+    def __init__(self, tracer: "SpanTracer") -> None:
+        tracer._trim()
+        self.names, self.cats = tuple(tracer.names), tuple(tracer.cats)
+        self.extra: Dict[int, Dict[str, Any]] = dict(tracer._extra)
+        for name, col in zip(FIELDS, tracer._cols):
+            setattr(self, name, np.array(col))
+
+    @classmethod
+    def of(cls, spans: "SpanColumns | SpanTracer | Iterable[Span]"):
+        """``spans`` as columns: itself, a tracer's, or a span list's."""
+        if isinstance(spans, cls):
+            return spans
+        if not isinstance(spans, SpanTracer):
+            tracer = SpanTracer()
+            tracer.merge(spans)
+            spans = tracer
+        return cls(spans)
+
+    def __len__(self) -> int:
+        return len(self.start)
+
+    def where(self, cat: Optional[str] = None, name: Optional[str] = None):
+        """Mask of the spans in category ``cat`` and/or named ``name``."""
+        mask = np.ones(len(self), dtype=bool)
+        for column, labels, label in (
+            (self.cat, self.cats, cat), (self.name, self.names, name)
+        ):
+            if label is not None:
+                mask &= column == (labels.index(label) if label in labels else -1)
+        return mask
+
+    def take(self, index: np.ndarray) -> List[Span]:
+        """Materialise the spans at ``index`` (an integer array)."""
+        rows = (getattr(self, name)[index].tolist() for name in FIELDS)
+        return list(map(self._span, index.tolist(), *rows))
+
+    def _span(self, i, name, cat, start, end, rank, parent, dst, nbytes,
+              intra, tag) -> Span:
+        if dst >= 0:
+            attrs = {"dst": dst, "bytes": nbytes, "intra": bool(intra)}
+            if tag != NONE:
+                attrs["tag"] = tag
+        else:
+            attrs = self.extra.get(i)
+            if attrs is None:
+                attrs = {}
+        return Span(self.names[name], self.cats[cat], start, end, rank,
+                    attrs, parent if parent >= 0 else None)
+
+    def __iter__(self) -> Iterator[Span]:
+        return iter(self.take(np.arange(len(self))))
 
 
 class SpanTracer:
-    """Collects spans, optionally into a bounded ring.
+    """Collects spans into parallel columns, optionally a bounded ring.
 
     Parameters
     ----------
@@ -93,14 +191,71 @@ class SpanTracer:
             )
         self.capacity = capacity
         self.clock = clock
-        self._spans: deque = deque(maxlen=capacity)
-        self.dropped = 0
-        self._open: Dict[int, _OpenSpan] = {}
+        #: token -> (name, cat, start, rank, attrs, parent) of an open span
+        self._open: Dict[int, tuple] = {}
         self._next_token = 1
         #: per-thread-of-control nesting stack (token ids)
         self._stack: List[int] = []
+        self.clear()
+
+    def clear(self) -> None:
+        """Drop all spans (including open ones) and reset the columns,
+        the attrs table, the intern maps and the counters."""
+        self._cols = tuple(array(code) for code in _CODES)
+        #: attrs outside the typed lane, keyed by span index
+        self._extra: Dict[int, Dict[str, Any]] = {}
+        #: interned span names / categories -> their column value
+        self.names: Dict[str, int] = {}
+        self.cats: Dict[str, int] = {}
+        self._evicted = 0
+        self._open.clear()
+        self._stack.clear()
 
     # -- recording ---------------------------------------------------------
+
+    def _unwind(self, n: int) -> None:
+        """Cut every column back to ``n`` spans: a value one column
+        rejected must not leave the others a row ahead."""
+        for col in self._cols:
+            del col[n:]
+        self._extra.pop(n, None)
+
+    def _trim(self) -> None:
+        """Physically drop what the ring has evicted."""
+        over = len(self._cols[0]) - len(self)
+        if over:
+            for col in self._cols:
+                del col[:over]
+            self._extra = {
+                i - over: a for i, a in self._extra.items() if i >= over
+            }
+            self._evicted += over
+
+    def _put(self, name, cat, start, end, rank, attrs, parent) -> None:
+        c = self._cols
+        n = len(c[0])
+        lane = _xfer_lane(attrs) if attrs else _NO_LANE
+        if lane is None:
+            lane = _NO_LANE
+            self._extra[n] = attrs
+        try:  # unrolled: the trace loader comes through here once per event
+            c[0].append(_intern(self.names, name))
+            c[1].append(_intern(self.cats, cat))
+            c[2].append(start)
+            c[3].append(end)
+            c[4].append(rank)
+            c[5].append(-1 if parent is None else parent)
+            c[6].append(lane[0])
+            c[7].append(lane[1])
+            c[8].append(lane[2])
+            c[9].append(lane[3])
+        except (TypeError, OverflowError):
+            self._unwind(n)
+            raise
+        # The ring trims in blocks of ``capacity``: memmoving every
+        # column once per evicted span would make a full ring quadratic.
+        if self.capacity is not None and n + 1 >= 2 * self.capacity:
+            self._trim()
 
     def add(
         self,
@@ -117,11 +272,40 @@ class SpanTracer:
             raise ConfigurationError(
                 f"span {name!r} ends ({end}) before it starts ({start})"
             )
-        if self.capacity is not None and len(self._spans) == self.capacity:
-            self.dropped += 1
-        self._spans.append(
-            Span(name, cat, start, end, rank, attrs or {}, parent)
-        )
+        self._put(name, cat, start, end, rank, attrs, parent)
+
+    def add_xfers(
+        self,
+        src: int,
+        dst: int,
+        nbytes: int,
+        intra: bool,
+        tag: Optional[int],
+        starts: Sequence[float],
+        ends: Sequence[float],
+    ) -> None:
+        """Record one ``comm``/``xfer`` span per ``(starts[i], ends[i])``
+        on rank ``src``'s lane, all with attrs ``{dst, bytes, intra[,
+        tag]}`` — the engine's one call per charged edge."""
+        if len(starts) != len(ends) or any(map(operator.lt, ends, starts)):
+            raise ConfigurationError(
+                f"xfer spans {list(zip(starts, ends))}: each must end after it starts"
+            )
+        same = (_intern(self.names, "xfer"), _intern(self.cats, "comm"), src,
+                -1, dst, nbytes, intra, NONE if tag is None else tag)
+        new = [
+            array(code, (value,)) * len(starts)
+            for code, value in zip(_CODES.replace("d", ""), same)
+        ]
+        n = len(self._cols[0])
+        try:
+            for col, values in zip(self._cols, new[:2] + [starts, ends] + new[2:]):
+                col.extend(values)
+        except (TypeError, OverflowError):
+            self._unwind(n)
+            raise
+        if self.capacity is not None and len(self._cols[0]) >= 2 * self.capacity:
+            self._trim()
 
     def start(
         self,
@@ -136,65 +320,64 @@ class SpanTracer:
         self._next_token += 1
         parent = self._stack[-1] if self._stack else None
         t = at if at is not None else self.clock()
-        self._open[token] = _OpenSpan(name, cat, rank, t, attrs, parent)
+        self._open[token] = (name, cat, t, rank, attrs, parent)
         self._stack.append(token)
         return token
 
     def end(self, token: int, at: Optional[float] = None) -> Span:
         """Close a previously started span and record it."""
-        open_span = self._open.pop(token, None)
-        if open_span is None:
+        opened = self._open.pop(token, None)
+        if opened is None:
             raise ConfigurationError(f"unknown or already-ended span token {token}")
         if token in self._stack:
             self._stack.remove(token)
+        name, cat, start, rank, attrs, parent = opened
         t = at if at is not None else self.clock()
-        self.add(
-            open_span.name,
-            open_span.cat,
-            open_span.start,
-            max(t, open_span.start),
-            open_span.rank,
-            open_span.attrs,
-            open_span.parent,
-        )
-        return self._spans[-1]
+        span = Span(name, cat, start, max(t, start), rank, attrs, parent)
+        self._put(name, cat, start, span.end, rank, attrs, parent)
+        return span
 
+    @contextmanager
     def span(self, name: str, cat: str, rank: int = -1, **attrs: Any):
         """Context manager recording one span around a code block."""
-        return _SpanContext(self, name, cat, rank, attrs)
-
-    # -- access ------------------------------------------------------------
-
-    def __len__(self) -> int:
-        return len(self._spans)
-
-    def __iter__(self) -> Iterator[Span]:
-        return iter(self._spans)
-
-    @property
-    def spans(self) -> List[Span]:
-        return list(self._spans)
-
-    def categories(self) -> Dict[str, int]:
-        """Span count per category."""
-        out: Dict[str, int] = {}
-        for s in self._spans:
-            out[s.cat] = out.get(s.cat, 0) + 1
-        return out
-
-    def clear(self) -> None:
-        """Drop all spans (including open ones) and reset the counters."""
-        self._spans.clear()
-        self._open.clear()
-        self._stack.clear()
-        self.dropped = 0
+        token = self.start(name, cat, rank, **attrs)
+        try:
+            yield
+        finally:
+            self.end(token)
 
     def merge(self, other: "SpanTracer | Iterable[Span]") -> None:
         """Fold another tracer's (or iterable's) spans into this one."""
         for s in other:
-            if self.capacity is not None and len(self._spans) == self.capacity:
-                self.dropped += 1
-            self._spans.append(s)
+            self._put(s.name, s.cat, s.start, s.end, s.rank, s.attrs, s.parent)
+
+    # -- access ------------------------------------------------------------
+
+    def __len__(self) -> int:
+        n = len(self._cols[0])
+        return n if self.capacity is None else min(n, self.capacity)
+
+    @property
+    def dropped(self) -> int:
+        """Spans the ring has evicted since the last :meth:`clear`."""
+        return self._evicted + len(self._cols[0]) - len(self)
+
+    def columns(self) -> SpanColumns:
+        """A NumPy snapshot of the columns (see :class:`SpanColumns`)."""
+        return SpanColumns(self)
+
+    def __iter__(self) -> Iterator[Span]:
+        return iter(self.columns())
+
+    @property
+    def spans(self) -> List[Span]:
+        return list(self.columns())
+
+    def categories(self) -> Dict[str, int]:
+        """Span count per category."""
+        self._trim()
+        cats = list(self.cats)
+        return {cats[c]: n for c, n in Counter(self._cols[1]).items()}
 
     # -- adapters ----------------------------------------------------------
 
@@ -206,36 +389,20 @@ class SpanTracer:
         ``cats`` restricts to the given categories (default: everything
         attributed to a real rank, i.e. ``rank >= 0``).
         """
-        allow = set(cats) if cats is not None else None
+        self._trim()
+        allow = None if cats is None else {self.cats.get(c) for c in cats}
+        names = list(self.names)
         return [
-            s.as_timeline()
-            for s in self._spans
-            if s.rank >= 0 and (allow is None or s.cat in allow)
+            (rank, start, end, names[name])
+            for name, cat, start, end, rank in zip(*self._cols[:5])
+            if rank >= 0 and (allow is None or cat in allow)
         ]
 
     def total_by_name(self) -> Dict[str, float]:
         """Summed duration per span name (all ranks)."""
-        out: Dict[str, float] = {}
-        for s in self._spans:
-            out[s.name] = out.get(s.name, 0.0) + s.duration
-        return out
-
-
-class _SpanContext:
-    __slots__ = ("_tracer", "_name", "_cat", "_rank", "_attrs", "_token")
-
-    def __init__(self, tracer, name, cat, rank, attrs) -> None:
-        self._tracer = tracer
-        self._name = name
-        self._cat = cat
-        self._rank = rank
-        self._attrs = attrs
-
-    def __enter__(self) -> "_SpanContext":
-        self._token = self._tracer.start(
-            self._name, self._cat, self._rank, **self._attrs
-        )
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self._tracer.end(self._token)
+        self._trim()
+        names = list(self.names)
+        totals: Dict[str, float] = {}
+        for name, _cat, start, end in zip(*self._cols[:4]):
+            totals[names[name]] = totals.get(names[name], 0.0) + (end - start)
+        return totals

@@ -252,6 +252,7 @@ class Engine:
         self._emit = self.obs.enabled
         if self._emit:
             self._span_add = self.obs.tracer.add
+            self._xfer_add = self.obs.tracer.add_xfers
             m = self.obs.metrics
             self._ctr_bytes = {
                 True: m.counter("comm.bytes_sent", scope="intra"),
@@ -414,6 +415,9 @@ class Engine:
         jitter = 0.0
         arrivals: List[float] = []
         append = arrivals.append
+        if emit:
+            starts: List[float] = []
+            ends: List[float] = []
         for ready in avail:
             start = ready if ready > free else free
             if link_plan is not None:
@@ -426,22 +430,32 @@ class Engine:
             append(start + lat + jitter + xfer + staging)
             free = start + xfer
             if emit:
-                attrs = {"dst": dst, "bytes": int(size), "intra": intra}
-                if tag is not None:
-                    attrs["tag"] = tag
-                self._span_add("xfer", "comm", start, free, src, attrs=attrs)
-                self._ctr_bytes[intra].inc(size)
-                self._ctr_msgs[intra].inc()
+                starts.append(start)
+                ends.append(free)
         if intra:
             self._link_out[src] = free
         else:
             self._nic_out[src_node] = free
             self._nic_in[dst_node] = free
         nseg = len(arrivals)
+        nbytes = int(size)
         stats = self.stats[src]
-        stats.bytes_sent += int(size) * nseg
+        stats.bytes_sent += nbytes * nseg
         stats.messages_sent += nseg
         self._transfers += nseg
+        if emit:
+            self._xfer_add(src, dst, nbytes, intra, tag, starts, ends)
+            self._ctr_msgs[intra].inc(nseg)
+            ctr = self._ctr_bytes[intra]
+            if nbytes == size and ctr.value.is_integer():
+                # whole numbers (below 2**53) add exactly in any grouping
+                ctr.inc(size * nseg)
+            else:
+                # a payload cut into nseg pieces can leave a fractional
+                # segment size; the total is compared bitwise across
+                # commits, so keep the per-segment rounding
+                for _ in range(nseg):
+                    ctr.inc(size)
         return free, arrivals
 
     def _transfer(
@@ -536,7 +550,7 @@ class Engine:
         if self._emit and waited > 0:
             self._span_add(
                 "wait_recv", "engine", st.clock, msg.arrival, rank,
-                attrs={"src": msg.src, "tag": msg.tag},
+                {"src": msg.src, "tag": msg.tag},
             )
         self.stats[rank].add("wait_recv", waited)
         st.clock = max(st.clock, msg.arrival)

@@ -1,7 +1,9 @@
 """Tests for the trace-analytics layer (repro.obs.analysis)."""
 
+import gc
 import io
 import json
+import warnings
 
 import pytest
 
@@ -262,6 +264,60 @@ class TestLoaders:
         p.write_text('{"hello": 1}')
         with pytest.raises(ConfigurationError):
             load_profile_input(p)
+
+    def test_leading_whitespace_is_still_a_chrome_trace(self, observed, tmp_path):
+        _cfg_, obs, _res = observed
+        path = obs.export_chrome_trace(tmp_path / "trace.json")
+        path.write_text("\n  \t" + path.read_text())
+        pi = load_profile_input(path)
+        assert len(pi.spans) == len(obs.tracer)
+        assert all(s.name for s in pi.spans)
+
+    def test_load_closes_the_file(self, observed, tmp_path):
+        _cfg_, obs, _res = observed
+        paths = [obs.export_chrome_trace(tmp_path / "trace.json"),
+                 obs.export_jsonl(tmp_path / "spans.jsonl")]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            for path in paths:
+                load_profile_input(path)
+            gc.collect()
+        assert not [w for w in caught if w.category is ResourceWarning]
+
+    @pytest.mark.parametrize("name,text,needle", [
+        ("empty.json", "", "is empty"),
+        ("blank.json", " \n\n", "is empty"),
+        ("empty.jsonl", "\n", "is empty"),
+        ("array.json", "[1, 2]", "neither a Chrome trace"),
+        ("cut.json", '{"traceEvents": [{"ph": "X", "na', "not valid JSON"),
+        ("cut.jsonl",
+         '{"name": "a", "start_s": 0, "end_s": 1}\n\n{"name": "b", "sta',
+         "line 3"),
+        ("list.jsonl", "[1, 2]\n", "line 1"),
+        ("ts.json",
+         '{"traceEvents": [{"ph": "X", "name": "a", "ts": "soon", "dur": 1}]}',
+         "traceEvents[0]"),
+        ("tid.json",
+         '{"traceEvents": [{"ph": "X", "name": "a", "ts": 0, "tid": "main"}]}',
+         "traceEvents[0]"),
+        ("backwards.json",
+         '{"traceEvents": [{"ph": "X", "name": "a", "ts": 5, "dur": -2}]}',
+         "before it starts"),
+        ("rank.jsonl", '{"name": "a", "rank": "zero"}\n', "line 1"),
+    ])
+    def test_bad_input_names_the_file(self, tmp_path, name, text, needle):
+        path = tmp_path / name
+        path.write_text(text)
+        with pytest.raises(ConfigurationError) as exc:
+            load_profile_input(path)
+        assert str(path) in str(exc.value) and needle in str(exc.value)
+
+    def test_spans_are_materialised_once_and_lazily(self, observed):
+        _cfg_, obs, _res = observed
+        pi = from_observability(obs)
+        assert "spans" not in vars(pi)
+        assert pi.spans is pi.spans
+        assert pi.spans == obs.tracer.spans
 
     def test_config_from_provenance_round_trip(self, observed):
         cfg, obs, _res = observed

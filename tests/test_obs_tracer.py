@@ -165,3 +165,145 @@ class TestTimelineAdapter:
         out = render_gantt(tr.as_timeline(), width=20)
         assert "r0" in out and "r1" in out
         assert "#=gemm" in out
+
+
+class TestColumnarContract:
+    """What the columnar store must keep of the deque-of-Span one."""
+
+    XFER = {"dst": 3, "bytes": 4096, "intra": True, "tag": 17}
+
+    def test_ring_wraps_in_insertion_order_across_add_end_merge(self):
+        tr = SpanTracer(capacity=4)
+        for i in range(6):
+            tr.add(f"a{i}", "engine", float(i), float(i) + 1, attrs={"i": i})
+        assert tr.dropped == 2
+        tr.end(tr.start("e", "driver", at=6.0, k=1), at=7.0)
+        assert tr.dropped == 3
+        tr.merge([Span("m0", "comm", 8.0, 9.0, 1, dict(self.XFER)),
+                  Span("m1", "comm", 9.0, 10.0, 1)])
+        assert (len(tr), tr.dropped) == (4, 5)
+        assert [s.name for s in tr] == ["a5", "e", "m0", "m1"]
+        # attrs follow their span through every block trim
+        assert [s.attrs for s in tr] == [{"i": 5}, {"k": 1}, self.XFER, {}]
+        assert tr.categories() == {"engine": 1, "driver": 1, "comm": 2}
+
+    def test_ring_survives_many_wraps(self):
+        tr = SpanTracer(capacity=3)
+        for i in range(50):
+            tr.add("s", "engine", float(i), float(i), attrs={"i": i})
+        assert [s.attrs["i"] for s in tr] == [47, 48, 49]
+        assert (len(tr), tr.dropped) == (3, 47)
+
+    def test_merge_of_a_tracer_and_of_an_iterable(self):
+        src = SpanTracer()
+        src.add("gemm", "executor", 0.0, 1.0, rank=2, attrs={"k": [1, 2]})
+        src.add_xfers(0, 3, 4096, True, 17, [1.0, 2.0], [2.0, 3.5])
+        a, b = SpanTracer(), SpanTracer()
+        a.merge(src)
+        b.merge(iter(src.spans))
+        assert a.spans == b.spans == src.spans
+        assert len(a) == 3
+
+    def test_xfer_lane_round_trips_exactly(self):
+        tr = SpanTracer()
+        tr.add("xfer", "comm", 0.0, 1.0, 0, dict(self.XFER))
+        tr.add_xfers(0, 3, 4096, True, 17, [1.0], [2.0])
+        tr.add_xfers(1, 2, 8, False, None, [1.0], [2.0])
+        first, second, untagged = tr.spans
+        assert first.attrs == second.attrs == self.XFER
+        assert list(first.attrs) == ["dst", "bytes", "intra", "tag"]
+        assert first.attrs["intra"] is True
+        assert untagged.attrs == {"dst": 2, "bytes": 8, "intra": False}
+        assert (second.name, second.cat, second.rank) == ("xfer", "comm", 0)
+
+    @pytest.mark.parametrize("attrs", [
+        {"dst": 1},                                          # partial shape
+        {"bytes": 8, "dst": 1, "intra": True},               # other key order
+        {"dst": 1, "bytes": 8.0, "intra": True},             # float size
+        {"dst": 1, "bytes": 8, "intra": 1},                  # int, not bool
+        {"dst": 1, "bytes": 8, "intra": True, "tag": None},
+        {"dst": -1, "bytes": 8, "intra": True},
+        {"nested": {"a": [1.5, {"b": None}]}, "xs": [1, 2.5, "s"]},
+    ])
+    def test_near_miss_and_nested_attrs_round_trip(self, attrs):
+        tr = SpanTracer()
+        tr.add("xfer", "comm", 0.0, 1.0, 0, attrs)
+        (span,) = tr.spans
+        assert span.attrs == attrs
+        assert list(span.attrs) == list(attrs)
+        assert [type(v) for v in span.attrs.values()] == [
+            type(v) for v in attrs.values()
+        ]
+
+    def test_non_finite_attr_values_export_as_null(self, tmp_path):
+        import json
+
+        from repro.obs.export import write_chrome_trace, write_jsonl
+
+        tr = SpanTracer()
+        tr.add("probe", "health", 0.0, 1.0, 0,
+               {"nan": float("nan"), "xs": [1.0, float("inf"), [float("-inf")]]})
+        want = {"nan": None, "xs": [1.0, None, [None]]}
+        doc = json.loads(write_chrome_trace(tmp_path / "t.json", tr).read_text())
+        (event,) = [e for e in doc["traceEvents"] if e["ph"] == "X"]
+        assert event["args"] == want
+        (line,) = write_jsonl(tmp_path / "s.jsonl", tr).read_text().splitlines()
+        assert json.loads(line)["attrs"] == want
+
+    def test_nested_span_contexts_keep_parent_ids(self):
+        clock = iter(range(100))
+        tr = SpanTracer(clock=lambda: float(next(clock)))
+        with tr.span("outer", "driver"):
+            with tr.span("mid", "driver"):
+                with tr.span("inner", "driver", k=1):
+                    pass
+            with tr.span("sibling", "driver"):
+                pass
+        by_name = {s.name: s for s in tr}
+        assert by_name["outer"].parent is None
+        assert by_name["mid"].parent == by_name["sibling"].parent
+        assert by_name["mid"].parent is not None
+        assert by_name["inner"].parent not in (None, by_name["mid"].parent)
+        assert by_name["inner"].attrs == {"k": 1}
+
+    def test_iterating_twice_yields_equal_spans(self):
+        tr = SpanTracer()
+        tr.add("gemm", "executor", 0.0, 1.0, 1, {"k": 2})
+        tr.add_xfers(0, 1, 64, False, 5, [0.0, 1.0], [1.0, 2.0])
+        first, second = list(tr), list(tr)
+        assert first == second == tr.spans
+        assert all(a is not b for a, b in zip(first, second))
+
+    def test_clear_resets_columns_tables_and_intern_maps(self):
+        tr = SpanTracer(capacity=2)
+        for i in range(5):
+            tr.add("gemm", "executor", 0.0, 1.0, 0, {"i": i})
+        tr.start("open", "driver", at=0.0)
+        tr.clear()
+        assert (len(tr), tr.dropped, tr.spans) == (0, 0, [])
+        assert tr.categories() == {} and tr.total_by_name() == {}
+        assert not tr.names and not tr.cats
+        assert len(tr.columns()) == 0 and tr.columns().extra == {}
+        tr.add("fill", "executor", 0.0, 1.0)
+        (span,) = tr.spans
+        assert (span.name, span.attrs, span.parent) == ("fill", {}, None)
+
+    def test_a_rejected_value_leaves_no_partial_row(self):
+        tr = SpanTracer()
+        tr.add("gemm", "executor", 0.0, 1.0, 0)
+        with pytest.raises(TypeError):
+            tr.add("gemm", "executor", 1.0, 2.0, rank="3", attrs={"k": 1})
+        with pytest.raises(TypeError):
+            tr.add_xfers(0, 1, 64, False, None, [1.0, "x"], [2.0, 3.0])
+        tr.add("fill", "executor", 2.0, 3.0, 1)
+        assert [(s.name, s.rank, s.attrs) for s in tr] == [
+            ("gemm", 0, {}), ("fill", 1, {}),
+        ]
+
+    def test_xfers_validate_like_add(self):
+        tr = SpanTracer()
+        with pytest.raises(ConfigurationError):
+            tr.add_xfers(0, 1, 64, False, None, [2.0], [1.0])
+        with pytest.raises(ConfigurationError):
+            tr.add_xfers(0, 1, 64, False, None, [1.0, 2.0], [3.0])
+        assert len(tr) == 0

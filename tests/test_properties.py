@@ -1,6 +1,11 @@
 """Cross-cutting property-based tests (hypothesis)."""
 
+import json
+import tempfile
+from pathlib import Path
+
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -13,6 +18,14 @@ from repro.comm.route import (
 )
 from repro.machine import FRONTIER, SUMMIT, CommCosts
 from repro.model.comm_model import bcast_time
+from repro.obs.analysis import load_profile_input
+from repro.obs.export import (
+    dumps_strict,
+    to_chrome_trace,
+    write_chrome_trace,
+    write_jsonl,
+)
+from repro.obs.tracer import SpanTracer
 from repro.simulate.phantom import PhantomArray
 
 members_lists = st.lists(
@@ -213,3 +226,77 @@ class TestEdgeCharging:
         assert arrivals == [arr for _done, arr in folded]
         assert done == folded[-1][0]
         assert self._state(edge) == self._state(fold)
+
+
+_finite = st.floats(-1e3, 1e3, allow_nan=False)
+_attr_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-10**6, 10**6) | st.text(max_size=6)
+    | st.floats(allow_nan=True, allow_infinity=True),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6,
+)
+_free_attrs = st.dictionaries(st.text(max_size=5), _attr_values, max_size=3)
+_xfer_attrs = st.builds(
+    lambda dst, nbytes, intra, tag: {
+        "dst": dst, "bytes": nbytes, "intra": intra,
+        **({} if tag is None else {"tag": tag}),
+    },
+    st.integers(0, 40), st.integers(0, 2**40), st.booleans(),
+    st.none() | st.integers(0, 2**45),
+)
+_spans = st.lists(
+    st.tuples(
+        st.sampled_from(["gemm", "xfer", "wait_recv", "πhase", 'q"uote']),
+        st.sampled_from(["executor", "comm", "engine", "driver"]),
+        _finite, st.floats(0, 10, allow_nan=False), st.integers(-1, 12),
+        st.none() | _free_attrs | _xfer_attrs,
+    ),
+    max_size=25,
+)
+
+
+class TestSpanPipelineProperties:
+    def _tracer(self, rows):
+        tr = SpanTracer()
+        for name, cat, start, dur, rank, attrs in rows:
+            tr.add(name, cat, start, start + dur, rank, attrs)
+        return tr
+
+    @given(_spans, st.booleans(), st.none() | st.just(["comm", "engine"]))
+    @settings(max_examples=120, deadline=None)
+    def test_streamed_trace_is_the_documents_json(self, rows, sort, cats):
+        """The hand-formatted stream is byte-for-byte what ``json.dumps``
+        writes for the document ``to_chrome_trace`` returns."""
+        tr = self._tracer(rows)
+        kw = dict(sort=sort, cats=cats, provenance={"seed": 1, "x": float("nan")})
+        with tempfile.TemporaryDirectory() as tmp:
+            text = write_chrome_trace(Path(tmp) / "t.json", tr, **kw).read_text()
+        assert text == json.dumps(to_chrome_trace(tr, **kw), allow_nan=False)
+
+    @given(_spans)
+    @settings(max_examples=120, deadline=None)
+    def test_export_then_load_round_trips(self, rows):
+        """Chrome and JSONL exports load back to the same names, cats,
+        ranks and (null-for-non-finite) attrs; JSONL times exactly,
+        Chrome times to within the microsecond scaling's rounding."""
+        tr = self._tracer(rows)
+        want = tr.spans
+        with tempfile.TemporaryDirectory() as tmp:
+            chrome = load_profile_input(
+                write_chrome_trace(Path(tmp) / "t.json", tr)
+            ).spans
+            # an empty span log is rejected, not loaded as zero spans
+            jsonl = load_profile_input(
+                write_jsonl(Path(tmp) / "s.jsonl", tr)
+            ).spans if rows else []
+        for got, exact in ((chrome, False), (jsonl, True)):
+            assert len(got) == len(want)
+            for g, w in zip(got, want):
+                assert (g.name, g.cat, g.rank) == (w.name, w.cat, w.rank)
+                assert g.attrs == json.loads(dumps_strict(w.attrs))
+                if exact:
+                    assert (g.start, g.end) == (w.start, w.end)
+                else:
+                    assert g.start == pytest.approx(w.start, rel=1e-12, abs=1e-12)
+                    assert g.end == pytest.approx(w.end, rel=1e-12, abs=1e-12)
