@@ -19,6 +19,12 @@ chosen to reproduce the paper's observed shapes:
 
 Rates are returned in FLOP/s and times in seconds.  The calibration
 constants live in the Summit/Frontier presets.
+
+Each GPU curve is written once, as a ``*_curve`` method in operators valid
+for a Python number and for an ``int64`` array of positive extents alike
+(the analytic model prices all factorization steps in one call); the
+scalar methods add the ``<= 0 -> 0.0`` guards around the same expression,
+so the executors' per-rank-step calls never touch NumPy.
 """
 
 from __future__ import annotations
@@ -28,10 +34,8 @@ from dataclasses import dataclass
 from repro.util import flops as fl
 
 
-def _sat(x: float, half: float) -> float:
-    """Saturating efficiency curve: 0 at x=0, 0.5 at x=half, → 1."""
-    if x <= 0:
-        return 0.0
+def _sat(x, half: float):
+    """Saturating efficiency curve for x > 0: 0.5 at x=half, → 1."""
     return x / (x + half)
 
 
@@ -74,7 +78,7 @@ class GpuKernelModel:
 
     # -- GEMM ---------------------------------------------------------------
 
-    def _gemm_texture(self, m: int, n: int, k: int) -> float:
+    def _gemm_texture(self, m, n, k):
         """Deterministic non-uniformity multiplier in (1-roughness, 1]."""
         if self.gemm_roughness <= 0.0:
             return 1.0
@@ -98,28 +102,36 @@ class GpuKernelModel:
             return self.lda_penalty_factor
         return 1.0
 
-    def gemm_rate(self, m: int, n: int, k: int, lda: int | None = None) -> float:
-        """Mixed-precision GEMM rate (FLOP/s) for C(m×n) -= A(m×k) B(k×n)."""
-        if min(m, n, k) <= 0:
-            return 0.0
+    def gemm_rate_curve(self, m, n, k, lda: int, mn):
+        """GEMM rate for positive extents; the caller reduces ``mn = min(m, n)``."""
         eff = (
             _sat(k, self.gemm_b_half)
-            * _sat(min(m, n), self.gemm_mn_half)
+            * _sat(mn, self.gemm_mn_half)
             * self._gemm_texture(m, n, k)
-            * self._lda_penalty(lda if lda is not None else 0)
+            * self._lda_penalty(lda)
         )
         if self.gemm_k_align > 0 and k % self.gemm_k_align != 0:
-            eff *= self.gemm_k_misalign_factor
+            eff = eff * self.gemm_k_misalign_factor
         return self.gemm_peak_tflops * 1e12 * eff
+
+    def gemm_time_curve(self, m, n, k, lda: int, mn):
+        """GEMM seconds (incl. launch) for positive extents."""
+        rate = self.gemm_rate_curve(m, n, k, lda, mn)
+        return fl.gemm_flops(m, n, k) / rate + self.kernel_launch_s
+
+    def gemm_rate(self, m: int, n: int, k: int, lda: int | None = None) -> float:
+        """Mixed-precision GEMM rate (FLOP/s) for C(m×n) -= A(m×k) B(k×n)."""
+        mn = min(m, n)
+        if mn <= 0 or k <= 0:
+            return 0.0
+        return self.gemm_rate_curve(m, n, k, lda if lda is not None else 0, mn)
 
     def gemm_time(self, m: int, n: int, k: int, lda: int | None = None) -> float:
         """Seconds for one mixed-precision GEMM call (incl. launch)."""
-        if min(m, n, k) <= 0:
+        mn = min(m, n)
+        if mn <= 0 or k <= 0:
             return 0.0
-        return (
-            fl.gemm_flops(m, n, k) / self.gemm_rate(m, n, k, lda)
-            + self.kernel_launch_s
-        )
+        return self.gemm_time_curve(m, n, k, lda if lda is not None else 0, mn)
 
     # -- GETRF ---------------------------------------------------------------
 
@@ -137,18 +149,26 @@ class GpuKernelModel:
 
     # -- TRSM ---------------------------------------------------------------
 
+    def trsm_rate_curve(self, b, nrhs):
+        """TRSM rate for positive extents."""
+        eff = _sat(b, self.trsm_b_half) * _sat(nrhs, self.trsm_n_half)
+        return self.trsm_peak_tflops * 1e12 * eff
+
+    def trsm_time_curve(self, b, nrhs):
+        """TRSM seconds (incl. launch) for positive extents."""
+        return fl.trsm_flops(b, nrhs) / self.trsm_rate_curve(b, nrhs) + self.kernel_launch_s
+
     def trsm_rate(self, b: int, nrhs: int) -> float:
         """fp32 TRSM rate (FLOP/s), b×b triangle against nrhs vectors."""
         if b <= 0 or nrhs <= 0:
             return 0.0
-        eff = _sat(b, self.trsm_b_half) * _sat(nrhs, self.trsm_n_half)
-        return self.trsm_peak_tflops * 1e12 * eff
+        return self.trsm_rate_curve(b, nrhs)
 
     def trsm_time(self, b: int, nrhs: int) -> float:
         """Seconds for one panel TRSM (incl. launch)."""
         if b <= 0 or nrhs <= 0:
             return 0.0
-        return fl.trsm_flops(b, nrhs) / self.trsm_rate(b, nrhs) + self.kernel_launch_s
+        return self.trsm_time_curve(b, nrhs)
 
     # -- fp64 GEMM (HPL baseline) --------------------------------------------
 
@@ -167,12 +187,16 @@ class GpuKernelModel:
 
     # -- memory movement -------------------------------------------------------
 
+    def cast_time_curve(self, n_elems, src_bytes: int = 4, dst_bytes: int = 2):
+        """CAST seconds (incl. launch) for a positive element count."""
+        moved = n_elems * (src_bytes + dst_bytes)
+        return moved / (self.cast_bw_gbs * 1e9) + self.kernel_launch_s
+
     def cast_time(self, n_elems: int, src_bytes: int = 4, dst_bytes: int = 2) -> float:
         """CAST/TRANS_CAST time: stream n_elems through HBM."""
         if n_elems <= 0:
             return 0.0
-        moved = n_elems * (src_bytes + dst_bytes)
-        return moved / (self.cast_bw_gbs * 1e9) + self.kernel_launch_s
+        return self.cast_time_curve(n_elems, src_bytes, dst_bytes)
 
     def h2d_time(self, nbytes: int) -> float:
         """Host-to-device (or device-to-host) transfer time per GCD."""

@@ -92,7 +92,11 @@ class CommCosts:
         One D2H copy on the sender plus one H2D on the receiver, each at
         the host-link bandwidth.
         """
-        if self.gpu_aware or nbytes <= 0:
+        return self.staging_curve(nbytes) if nbytes > 0 else 0.0
+
+    def staging_curve(self, nbytes):
+        """:meth:`staging_time` of a positive size (number or array)."""
+        if self.gpu_aware:
             return 0.0
         h2d = self.machine.gpu_kernels.h2d_bw_gbs * 1e9
         return 2.0 * nbytes / h2d

@@ -14,6 +14,7 @@ from repro.model.perf_model import (
     IterationCosts,
     estimate_iteration,
     estimate_run,
+    iteration_columns,
 )
 from repro.model.roofline import (
     machine_balance,
@@ -31,6 +32,7 @@ __all__ = [
     "IterationCosts",
     "estimate_iteration",
     "estimate_run",
+    "iteration_columns",
     "sweep_block_sizes",
     "sweep_local_sizes",
     "sweep_node_grids",

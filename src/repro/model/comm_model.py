@@ -54,14 +54,23 @@ def bcast_time(
         Distinct nodes among the members (defaults to
         ``ceil(members / sharing-free group)``).
     """
+    if members >= 1 and nbytes <= 0:
+        return 0.0
+    return bcast_curve(algorithm, nbytes, members, costs, mpi, sharing, nodes_spanned)
+
+
+def bcast_curve(algorithm, nbytes, members, costs, mpi, sharing, nodes_spanned):
+    """:func:`bcast_time` of a positive size, one expression per shape: ``nbytes``
+    is a number or a ``float64`` array (one entry per factorization step), the
+    rest is scalar, and every operator below is valid for both."""
     if members < 1:
         raise ConfigurationError(f"members must be >= 1, got {members}")
-    if members == 1 or nbytes <= 0:
-        return 0.0
+    if members == 1:
+        return 0.0 * nbytes
     lat = costs.inter_latency
     nic_bw = costs.node_nic_bw / max(sharing, 1)
     intra_bw = costs.intra_bw
-    staging = costs.staging_time(int(nbytes))
+    staging = costs.staging_curve(nbytes // 1)  # whole bytes are staged
     nodes = nodes_spanned if nodes_spanned is not None else members
     nodes = max(1, min(nodes, members))
 
@@ -87,7 +96,8 @@ def bcast_time(
     if algorithm in ("ring1", "ring1m", "ring2m"):
         nseg = _ring_segments(members)
         seg = nbytes / nseg
-        stage = max(seg / nic_bw, seg / intra_bw) + staging / nseg
+        # The slower fabric sets the stage: max(seg / nic_bw, seg / intra_bw), exactly.
+        stage = seg / min(nic_bw, intra_bw) + staging / nseg
         depth = members - 1
         if algorithm == "ring2m":
             depth = max(1, (members - 2 + 1) // 2)
@@ -107,10 +117,10 @@ def panel_comm_time(
     The U chunk travels down each process column (P_r members, Q_c
     sibling columns per node); the L chunk travels along each process row
     (P_c members, Q_r siblings).  Both directions share the node NICs,
-    so their times add.
+    so their times add.  Sizes are positive numbers or arrays.
     """
     mpi = cfg.machine.mpi
-    t_u = bcast_time(
+    t_u = bcast_curve(
         algorithm,
         u_bytes,
         cfg.p_rows,
@@ -119,7 +129,7 @@ def panel_comm_time(
         sharing=cfg.q_cols,
         nodes_spanned=cfg.node_grid.k_rows,
     )
-    t_l = bcast_time(
+    t_l = bcast_curve(
         algorithm,
         l_bytes,
         cfg.p_cols,

@@ -72,16 +72,13 @@ class LiveProgressReporter(list):
         """Modelled per-step critical-path seconds (None-safe fallback)."""
         try:
             from repro.machine.topology import CommCosts
-            from repro.model.perf_model import estimate_iteration
+            from repro.model.perf_model import iteration_columns
 
             costs = CommCosts(
                 cfg.machine, port_binding=cfg.port_binding,
                 gpu_aware=cfg.gpu_aware,
             )
-            return [
-                estimate_iteration(cfg, costs, k).total
-                for k in range(cfg.num_blocks)
-            ]
+            return iteration_columns(cfg, costs)["total"].tolist()
         except Exception:  # lint: ignore[hygiene] - model gaps must not kill a run
             return []
 

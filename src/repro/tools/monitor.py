@@ -23,7 +23,7 @@ from typing import Dict, List, Optional
 from repro.core.config import BenchmarkConfig
 from repro.errors import ConfigurationError, EarlyTerminationError
 from repro.machine.topology import CommCosts
-from repro.model.perf_model import estimate_iteration
+from repro.model.perf_model import iteration_columns
 from repro.obs import context as obs_context
 from repro.util.format import format_seconds, render_table
 
@@ -126,16 +126,21 @@ class ProgressMonitor:
         self.tolerance = tolerance
         self.patience = patience
         self.report_every = report_every
-        self._costs = CommCosts(
+        costs = CommCosts(
             cfg.machine, port_binding=cfg.port_binding, gpu_aware=cfg.gpu_aware
         )
+        self._expected = iteration_columns(cfg, costs)["total"].tolist()
         self.reports: List[ProgressReport] = []
         self._window: List[float] = []
         self._unhealthy_streak = 0
 
     def expected_iteration_s(self, k: int) -> float:
         """Model-expected wall time of iteration k."""
-        return estimate_iteration(self.cfg, self._costs, k).total
+        if not 0 <= k < len(self._expected):
+            raise ConfigurationError(
+                f"k must be in [0, {len(self._expected)}), got {k}"
+            )
+        return self._expected[k]
 
     def observe(self, k: int, measured_s: float) -> Optional[ProgressReport]:
         """Feed one iteration's measured wall time.

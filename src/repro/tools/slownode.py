@@ -22,6 +22,7 @@ import numpy as np
 from repro.errors import ConfigurationError
 from repro.machine.spec import MachineSpec
 from repro.machine.variability import GcdFleet
+from repro.model.perf_model import sequential_sum
 from repro.util import flops as fl
 from repro.util.format import render_table
 
@@ -58,14 +59,17 @@ class MiniBenchmark:
     def nominal_seconds(self) -> float:
         """Probe runtime on a perfect (multiplier 1.0) GCD."""
         km = self.machine.gpu_kernels
-        total = 0.0
         nb = self.n // self.block
-        for k in range(nb):
-            trailing = self.n - (k + 1) * self.block
-            total += km.getrf_time(self.block)
-            total += 2 * km.trsm_time(self.block, trailing)
-            total += km.gemm_time(trailing, trailing, self.block, lda=self.n)
-        return total
+        trailing = self.n - np.arange(1, nb + 1) * self.block
+        trailing = trailing[trailing > 0]  # only the last step can be empty
+        # One row per step, summed in the order the step loop added them.
+        terms = np.zeros((nb, 3))
+        terms[:, 0] = km.getrf_time(self.block)
+        terms[: trailing.size, 1] = 2 * km.trsm_time_curve(self.block, trailing)
+        terms[: trailing.size, 2] = km.gemm_time_curve(
+            trailing, trailing, self.block, self.n, trailing
+        )
+        return sequential_sum(terms.ravel())
 
     def measure(self, multiplier: float) -> float:
         """Probe runtime on a GCD with the given speed multiplier."""

@@ -1,5 +1,7 @@
 """Tests for the hplai-sim command-line interface."""
 
+from pathlib import Path
+
 import pytest
 
 from repro.cli import FIGURES, main
@@ -137,6 +139,12 @@ class TestReportCommand:
         assert "## Fig 11" in text
         assert "## Roofline" in text
         assert "Correctness anchor" in text
+        committed = Path(__file__).parent.parent / "EXPERIMENTS.md"
+        assert text == committed.read_text(), (
+            "the generated report drifted from the committed EXPERIMENTS.md; "
+            "regenerate it with scripts/make_experiments_md.py only in a PR "
+            "that means to change the numbers"
+        )
 
 
 class TestGanttCommand:

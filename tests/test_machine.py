@@ -5,6 +5,7 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.machine import FRONTIER, SUMMIT, CommCosts, GcdFleet, WarmupModel, get_machine
+from repro.model.comm_model import bcast_curve, bcast_time
 from repro.util import flops as fl
 
 
@@ -125,6 +126,54 @@ class TestGpuKernelModels:
         assert km.cast_time(0) == 0.0
         assert km.cast_time(1000) > 0
         assert km.h2d_time(10**9) == pytest.approx(1e9 / (45.0 * 1e9))
+
+    def test_scalar_calls_stay_builtin_floats(self):
+        # The executors call these once per simulated rank-step: a
+        # np.float64 or 0-d array leaking out of the shared curve
+        # expressions would slow every event-engine run.
+        for spec in (SUMMIT, FRONTIER):
+            km = spec.gpu_kernels
+            values = [
+                km.gemm_rate(4096, 2048, 768), km.gemm_rate(4096, 2048, 768, lda=8192),
+                km.gemm_time(4096, 2048, 768), km.gemm_time(100, 300, 50, lda=122880),
+                km.getrf_rate(768), km.getrf_time(768),
+                km.trsm_rate(768, 4096), km.trsm_time(768, 4096),
+                km.cast_time(768 * 4096), km.h2d_time(10**6),
+                km.fp64_gemm_rate(512, 512, 256), km.fp64_gemm_time(512, 512, 256),
+            ]
+            for gpu_aware in (True, False):
+                costs = CommCosts(spec, gpu_aware=gpu_aware)
+                values.append(costs.staging_time(10**6))
+                values += [
+                    bcast_time(algo, 1.5e6, members, costs, spec.mpi)
+                    for algo in ("bcast", "ibcast", "ring1", "ring1m", "ring2m")
+                    for members in (1, 6)
+                ]
+            assert [type(v) for v in values] == [float] * len(values)
+
+    def test_zero_and_negative_extents_cost_nothing(self):
+        km = FRONTIER.gpu_kernels
+        for bad in (0, -3):
+            assert km.gemm_rate(bad, 10, 10) == km.gemm_time(10, bad, 10) == 0.0
+            assert km.gemm_rate(10, 10, bad) == km.gemm_time(10, 10, bad) == 0.0
+            assert km.trsm_rate(bad, 10) == km.trsm_time(10, bad) == 0.0
+            assert km.getrf_rate(bad) == km.getrf_time(bad) == 0.0
+            assert km.cast_time(bad) == km.h2d_time(bad) == 0.0
+            assert km.fp64_gemm_rate(bad, 10, 10) == km.fp64_gemm_time(10, 10, bad) == 0.0
+            assert CommCosts(FRONTIER, gpu_aware=False).staging_time(bad) == 0.0
+
+    def test_curves_agree_with_scalar_methods_on_arrays(self):
+        km = FRONTIER.gpu_kernels
+        m = np.array([3072, 6144, 100, 119808])
+        n = np.array([6144, 3072, 7, 119808])
+        gemm = km.gemm_time_curve(m, n, 3072, 119808, np.minimum(m, n))
+        trsm = km.trsm_time_curve(3072, n)
+        cast = km.cast_time_curve(m * 3072)
+        for i in range(m.size):
+            mi, ni = int(m[i]), int(n[i])
+            assert gemm[i] == km.gemm_time(mi, ni, 3072, lda=119808)
+            assert trsm[i] == km.trsm_time(3072, ni)
+            assert cast[i] == km.cast_time(mi * 3072)
 
     def test_gemm_time_consistent_with_rate(self):
         km = FRONTIER.gpu_kernels
@@ -251,6 +300,28 @@ class TestCommCosts:
             cc.inter_node_time(-1)
         with pytest.raises(ConfigurationError):
             cc.intra_node_time(-1)
+
+    def test_bcast_curve_on_arrays(self):
+        sizes = np.array([3.0e3, 1.5e6, 6.4e7 + 0.5])
+        for spec in (SUMMIT, FRONTIER):
+            for gpu_aware in (True, False):
+                costs = CommCosts(spec, gpu_aware=gpu_aware)
+                for algo in ("bcast", "ibcast", "ring1", "ring1m", "ring2m"):
+                    for members, sharing, nodes in ((1, 1, None), (6, 2, 3), (172, 4, 43)):
+                        args = (members, costs, spec.mpi, sharing, nodes)
+                        col = bcast_curve(algo, sizes, *args)
+                        assert col.tolist() == [
+                            bcast_time(algo, float(s), *args) for s in sizes
+                        ]
+        costs = CommCosts(SUMMIT)
+        with pytest.raises(ConfigurationError, match="members"):
+            bcast_curve("ring1", sizes, 0, costs, SUMMIT.mpi, 1, None)
+        with pytest.raises(ConfigurationError, match="members"):
+            bcast_time("ring1", 1e6, 0, costs, SUMMIT.mpi)
+        with pytest.raises(ConfigurationError, match="gossip"):
+            bcast_curve("gossip", sizes, 4, costs, SUMMIT.mpi, 1, None)
+        assert bcast_time("ring1", 0.0, 4, costs, SUMMIT.mpi) == 0.0
+        assert bcast_time("ring1", -8.0, 4, costs, SUMMIT.mpi) == 0.0
 
     def test_describe(self):
         d = CommCosts(FRONTIER).describe()

@@ -8,6 +8,7 @@ from repro.errors import ConfigurationError
 from repro.machine import FRONTIER, SUMMIT, CommCosts
 from repro.model import (
     bcast_time,
+    estimate_iteration,
     estimate_run,
     sweep_block_sizes,
     sweep_local_sizes,
@@ -97,6 +98,34 @@ class TestEstimateRun:
         assert slow.breakdown["gemm"] == pytest.approx(
             fast.breakdown["gemm"] / 0.9
         )
+
+    @pytest.mark.parametrize(
+        "kw",
+        [
+            {"pipeline_multiplier": 0.0},
+            {"pipeline_multiplier": -1.0},
+            {"global_speed": float("nan")},
+            {"global_speed": float("inf")},
+            {"pipeline_multiplier": float("inf"), "global_speed": 0.0},
+        ],
+        ids=lambda kw: ",".join(f"{k}={v}" for k, v in kw.items()),
+    )
+    def test_rejects_unusable_speed(self, kw):
+        with pytest.raises(ConfigurationError, match="pipeline_multiplier"):
+            estimate_run(_cfg(p=2), **kw)
+
+    @pytest.mark.parametrize("k", [-1, 8, 100])
+    def test_iteration_rejects_steps_that_do_not_exist(self, k):
+        cfg = _cfg(nl=3072 * 4, p=2)
+        assert cfg.num_blocks == 8
+        with pytest.raises(ConfigurationError, match="k must be in"):
+            estimate_iteration(cfg, CommCosts(FRONTIER), k)
+
+    def test_last_iteration_pays_only_the_panel_chain(self):
+        cfg = _cfg(p=2)
+        it = estimate_iteration(cfg, CommCosts(FRONTIER), cfg.num_blocks - 1)
+        assert it.trsm == it.cast == it.gemm == it.panel_bcast == 0.0
+        assert it.total == it.getrf + it.diag_bcast > 0
 
     def test_scales_to_paper_size_instantly(self):
         import time

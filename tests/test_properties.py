@@ -2,6 +2,7 @@
 
 import json
 import tempfile
+from math import lcm
 from pathlib import Path
 
 import numpy as np
@@ -16,8 +17,15 @@ from repro.comm.route import (
     route_ring2m,
     route_tree,
 )
+from repro.core.config import BenchmarkConfig
 from repro.machine import FRONTIER, SUMMIT, CommCosts
 from repro.model.comm_model import bcast_time
+from repro.model.perf_model import (
+    COLUMNS,
+    estimate_iteration,
+    estimate_run,
+    iteration_columns,
+)
 from repro.obs.analysis import load_profile_input
 from repro.obs.export import (
     dumps_strict,
@@ -113,6 +121,54 @@ class TestBcastTimeProperties:
         t1 = bcast_time(algo, 1e7, members, costs, SUMMIT.mpi, sharing=1)
         t4 = bcast_time(algo, 1e7, members, costs, SUMMIT.mpi, sharing=4)
         assert t4 >= t1
+
+
+class TestModelArrayProgram:
+    """The array evaluation of eqs (1)-(5) is the scalar one, bit for bit."""
+
+    @given(
+        st.sampled_from([SUMMIT, FRONTIER]),
+        st.integers(1, 12),
+        st.integers(1, 12),
+        st.sampled_from([64, 100, 768, 1000, 3072]),
+        st.integers(1, 4),
+        st.sampled_from(["bcast", "ibcast", "ring1", "ring1m", "ring2m"]),
+        st.tuples(st.booleans(), st.booleans(), st.booleans()),
+        st.floats(0.5, 1.5),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_columns_equal_scalar_steps_and_loop_sums(
+        self, machine, p_rows, p_cols, block, mult, algo, flags, speed
+    ):
+        lookahead, gpu_aware, port_binding = flags
+        cfg = BenchmarkConfig(
+            n=mult * lcm(p_rows, p_cols) * block, block=block, machine=machine,
+            p_rows=p_rows, p_cols=p_cols, bcast_algorithm=algo,
+            lookahead=lookahead, gpu_aware=gpu_aware, port_binding=port_binding,
+        )
+        costs = CommCosts(machine, port_binding=port_binding, gpu_aware=gpu_aware)
+        steps = [
+            estimate_iteration(cfg, costs, k, speed) for k in range(cfg.num_blocks)
+        ]
+        cols = iteration_columns(cfg, costs, speed)
+        assert tuple(cols) == COLUMNS
+        for name in COLUMNS:
+            assert cols[name].tolist() == [getattr(it, name) for it in steps]
+            assert all(type(getattr(it, name)) is float for it in steps)
+
+        res = estimate_run(cfg, global_speed=speed, keep_iterations=True)
+        assert res.iterations == steps
+        sums = dict.fromkeys(COLUMNS, 0.0)
+        for it in steps:
+            for name in COLUMNS:
+                sums[name] += getattr(it, name)
+        for name, value in res.breakdown.items():
+            if name != "refinement":
+                assert value == sums[name]
+        assert res.elapsed_factorization == sums["total"] + machine.gpu_kernels.h2d_time(
+            cfg.local_fp32_bytes
+        )
+        assert type(res.elapsed) is float
 
 
 class TestEngineDeterminism:

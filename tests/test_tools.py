@@ -22,6 +22,19 @@ class TestMiniBenchmark:
         assert probe.nominal_seconds() > 0
         assert probe.nominal_seconds() == probe.nominal_seconds()
 
+    @pytest.mark.parametrize("n, block", [(8192, 512), (8192, 500), (512, 512), (100, 512)])
+    def test_nominal_is_the_step_loop_sum(self, n, block):
+        # The scalar kernel methods, added in the order of an LU step loop.
+        km = FRONTIER.gpu_kernels
+        total = 0.0
+        for k in range(n // block):
+            trailing = n - (k + 1) * block
+            total += km.getrf_time(block)
+            total += 2 * km.trsm_time(block, trailing)
+            total += km.gemm_time(trailing, trailing, block, lda=n)
+        nominal = MiniBenchmark(FRONTIER, n=n, block=block).nominal_seconds()
+        assert nominal == total and type(nominal) is float
+
     def test_slower_gcd_takes_longer(self):
         probe = MiniBenchmark(SUMMIT)
         assert probe.measure(0.95) > probe.measure(1.0)
@@ -145,6 +158,24 @@ class TestProgressMonitor:
         assert len(reports) > 0
         out = mon.render()
         assert "progress report" in out
+
+    def test_expectations_are_the_model_steps(self):
+        from repro.machine import CommCosts
+        from repro.model import estimate_iteration
+        from repro.obs.analysis.progress import LiveProgressReporter
+
+        cfg = self._cfg()
+        mon = ProgressMonitor(cfg)
+        steps = [
+            estimate_iteration(cfg, CommCosts(FRONTIER), k).total
+            for k in range(cfg.num_blocks)
+        ]
+        assert [mon.expected_iteration_s(k) for k in range(cfg.num_blocks)] == steps
+        assert LiveProgressReporter._expected_step_times(cfg) == steps
+        assert all(type(s) is float for s in steps)
+        for k in (-1, cfg.num_blocks):
+            with pytest.raises(ConfigurationError):
+                mon.expected_iteration_s(k)
 
     def test_validation(self):
         cfg = self._cfg()
