@@ -1,7 +1,8 @@
 """Schedule extraction: bounded symbolic execution of the rank programs.
 
-The comm generators (:mod:`repro.core.hplai`, :mod:`repro.core.hpl_dist`,
-the broadcast/collective generators under :mod:`repro.comm`) are driven
+The comm generators (the rank program of :mod:`repro.core.hplai`, the
+pivoted phases of :mod:`repro.core.hpl_dist`, the broadcast/collective
+generators under :mod:`repro.comm`) are driven
 by an *un-timed* cooperative interpreter that mirrors the engine's
 matching semantics exactly — FIFO mailboxes keyed ``(src, dst, tag)``,
 routed broadcasts deposited as-if-from-root, collectives matched on
@@ -26,6 +27,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
@@ -633,32 +635,24 @@ class _PivotingMatrix:
 def extract_config(cfg, program: str = "hplai",
                    meta: Optional[dict] = None,
                    max_ops: int = DEFAULT_MAX_OPS) -> ExtractionResult:
-    """Extract the schedule an existing config's rank programs produce.
+    """Extract the schedule an existing config's rank program produces.
 
+    ``program`` picks the executor the one rank program runs on:
     ``hplai`` runs the phantom executors (data-independent control
     flow: the one extracted schedule covers every run of this shape);
     ``hpl`` runs the real pivoted-LU executors on a deterministic
     pivot-exercising matrix (its comm schedule is data-dependent).
     """
+    from repro.core.driver import rank_factory
+
     if program == "hplai":
-        from repro.core.executors import PhantomExecutor
-        from repro.core.hplai import hplai_rank_program
-
-        def factory(rank: int):
-            p_ir, p_ic = cfg.grid.coords_of(rank)
-            ex = PhantomExecutor(cfg, p_ir, p_ic, rank)
-            return hplai_rank_program(cfg, ex, rank)
-
+        from repro.core.executors import PhantomExecutor as make_executor
     elif program == "hpl":
-        from repro.core.hpl_dist import HplExecutor, hpl_rank_program
+        from repro.core.hpl_dist import HplExecutor
 
-        matrix = _PivotingMatrix(cfg.n, cfg.seed)
-
-        def factory(rank: int):
-            p_ir, p_ic = cfg.grid.coords_of(rank)
-            ex = HplExecutor(cfg, p_ir, p_ic, rank, matrix=matrix)
-            return hpl_rank_program(cfg, ex, rank)
-
+        make_executor = partial(
+            HplExecutor, matrix=_PivotingMatrix(cfg.n, cfg.seed)
+        )
     else:
         raise ExtractionError(f"unknown program {program!r}")
 
@@ -671,7 +665,7 @@ def extract_config(cfg, program: str = "hplai",
     extractor = ScheduleExtractor(
         cfg.num_ranks, meta=base_meta, max_ops=max_ops,
     )
-    return extractor.run(factory)
+    return extractor.run(rank_factory(cfg, make_executor))
 
 
 def extract_case(case: ScheduleCase,

@@ -33,20 +33,15 @@ import numpy as np
 from repro.analyze.schedule.extract import extract_factory
 from repro.analyze.schedule.model import CommOp, Schedule
 from repro.comm.vmpi import RankComm
+from repro.core.hpl_dist import _tag  # the FP64-HPL wire-tag window
 from repro.simulate.events import Barrier
 
-# the FP64-HPL wire-tag window (mirrors core/hpl_dist.py)
-_TAG_BASE = 1 << 24
 _TAG_SWAP_COL = 7
 
 #: row spans of *unequal* width: the aliased wire then carries
 #: different payload sizes, which is what makes the bug observable to
 #: the verifier (and what made it corrupt trailing panels in practice)
 _SPANS = ((0, 2), (4, 8))
-
-
-def _tag(k: int, phase: int, j: int = 0) -> int:
-    return _TAG_BASE + (k * 8 + phase) * 4096 + j
 
 
 def _laswp_rank_program(rank: int, k: int = 0, b: int = 4):

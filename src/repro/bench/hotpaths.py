@@ -157,10 +157,10 @@ def run_hotpaths(
         # the diagonal: the stage exercises pivot search + rank-1 update
         # without the comm machinery.
         ex.local[:] = pristine
-        lo, hi = ex.panel_col_range(0)
+        lo, hi = 0, b  # panel block-column 0 in local storage
         for col in range(b):
             val, row = ex.local_pivot_candidate(col, col)
-            seg = ex.get_row_segment(row, lo, hi)
+            seg = ex.gather_row(row, [(lo, hi)])
             ex.scale_and_update_panel(col, col + 1, seg, val, lo, hi)
 
     stages.append(_timed(panel_factor, reps, "panel_factor"))
@@ -175,7 +175,7 @@ def run_hotpaths(
 
     def trailing_update():
         ex.local[:] = after_panel
-        ex.gemm_trailing(0, l_panel, u_panel)
+        ex.gemm_trailing(0, l16=l_panel, u16t=u_panel)
 
     stages.append(_timed(trailing_update, reps, "trailing_update"))
 

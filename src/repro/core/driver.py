@@ -28,7 +28,7 @@ from repro.machine.topology import CommCosts
 from repro.obs import context as obs_context
 from repro.obs.provenance import run_provenance
 from repro.scenario import Scenario, compile_scenario
-from repro.simulate.engine import Engine, RankStats
+from repro.simulate.engine import Engine, EngineResult, RankStats
 from repro.util import flops as fl
 
 
@@ -76,6 +76,42 @@ class RunResult:
         if self.exact:
             d["residual_norm"] = self.residual_norm
         return d
+
+
+def rank_factory(cfg: BenchmarkConfig, make_executor, trace=None):
+    """``factory(rank)`` for :meth:`Engine.run`: the rank program on
+    ``make_executor(cfg, p_ir, p_ic, rank)``.  The executor class is the
+    whole choice of program (phantom / exact HPL-AI, FP64 HPL)."""
+
+    def factory(rank: int):
+        p_ir, p_ic = cfg.grid.coords_of(rank)
+        ex = make_executor(cfg, p_ir, p_ic, rank)
+        return hplai_rank_program(cfg, ex, rank, trace)
+
+    return factory
+
+
+def _run_ranks(cfg: BenchmarkConfig, make_executor, obs, trace=None,
+               **engine_plans) -> EngineResult:
+    """The one engine set-up: cost model and engine for ``cfg`` (plus the
+    scenario's ``rate_multipliers`` / ``rate_plan`` / ``link_plan``), then
+    :func:`rank_factory`'s program on every rank."""
+    costs = CommCosts(
+        cfg.machine, port_binding=cfg.port_binding, gpu_aware=cfg.gpu_aware
+    )
+    engine = Engine(
+        cfg.num_ranks,
+        costs,
+        node_of_rank=cfg.node_grid.node_of_rank,
+        mpi=cfg.machine.mpi,
+        obs=obs,
+        **engine_plans,
+    )
+    # Install the handle for the duration of the run so instrumentation
+    # points that read the process-wide handle (executors, comm facade)
+    # land in the same tracer/registry the engine was given.
+    with obs_context.use(obs):
+        return engine.run(rank_factory(cfg, make_executor, trace))
 
 
 def run_benchmark(
@@ -140,41 +176,22 @@ def run_benchmark(
 
         HplAiMatrix(cfg.n, cfg.seed).check_fp16_safe()
 
-    costs = CommCosts(
-        cfg.machine, port_binding=cfg.port_binding, gpu_aware=cfg.gpu_aware
-    )
     obs = obs if obs is not None else obs_context.current()
     health = getattr(obs, "health", None) if obs.enabled else None
     if health is not None:
         health.attach(obs)
         health.bind_run(cfg)
-    engine = Engine(
-        cfg.num_ranks,
-        costs,
-        node_of_rank=cfg.node_grid.node_of_rank,
-        mpi=cfg.machine.mpi,
+
+    trace: List[dict] = progress if progress is not None else []
+    outcome = _run_ranks(
+        cfg,
+        ExactExecutor if exact else PhantomExecutor,
+        obs,
+        trace if (collect_trace or progress is not None) else None,
         rate_multipliers=compiled.static_multipliers,
         rate_plan=compiled.rate_plan,
         link_plan=compiled.link_plan,
-        obs=obs,
     )
-
-    trace: List[dict] = progress if progress is not None else []
-    exec_cls = ExactExecutor if exact else PhantomExecutor
-
-    def factory(rank: int):
-        p_ir, p_ic = cfg.grid.coords_of(rank)
-        ex = exec_cls(cfg, p_ir, p_ic, rank)
-        return hplai_rank_program(
-            cfg, ex, rank,
-            trace if (collect_trace or progress is not None) else None,
-        )
-
-    # Install the handle for the duration of the run so instrumentation
-    # points that read the process-wide handle (executors, comm facade)
-    # land in the same tracer/registry the engine was given.
-    with obs_context.use(obs):
-        outcome = engine.run(factory)
 
     # Phase times: every rank's timed window is barrier-aligned, so take
     # rank 0's markers.

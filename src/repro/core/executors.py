@@ -28,6 +28,7 @@ from repro.core.layout import StepPlan, make_step_plan
 from repro.errors import ConfigurationError
 from repro.lcg.matrix import HplAiMatrix
 from repro.obs import context as obs_context
+from repro.obs.phases import STEP_STRIDE
 from repro.precision.analysis import hpl_ai_tolerance
 from repro.simulate.phantom import PhantomArray
 from repro.util import flops as fl
@@ -44,6 +45,16 @@ class ExecutorBase:
 
     #: True when matrix data exists and results are numerically meaningful
     exact = False
+    #: precision the local matrix is stored (and moved over PCIe) in
+    storage_dtype = np.dtype(np.float32)
+    #: The two seams of the rank program (:mod:`repro.core.hplai`), which
+    #: a pivoted executor overrides with generator methods:
+    #: ``panel_phase(comm, k)`` replaces diag GETRF + TRSM + cast,
+    #: ``solve_phase(comm, t_start)`` replaces d2h + refinement.  A
+    #: ``panel_phase`` also selects the synchronous schedule: LASWP swaps
+    #: rows of a trailing matrix look-ahead has not finished updating.
+    panel_phase = None
+    solve_phase = None
 
     def __init__(self, cfg: BenchmarkConfig, p_ir: int, p_ic: int, rank: int):
         self.cfg = cfg
@@ -80,14 +91,21 @@ class ExecutorBase:
         if self._health is not None:
             self._health.note_step(self.rank, k)
 
-    def _hotpath_span(self, name: str):
+    def _hotpath_span(self, name: str, **attrs):
         """Wall-clock span around an optimized hot region (obs-enabled
         runs only); virtual engine time is charged separately."""
         if self._obs_on:
-            return self._tracer.span(name, "hotpath", self.rank, clock="wall")
+            return self._tracer.span(
+                name, "hotpath", self.rank, clock="wall", **attrs)
         return contextlib.nullcontext()
 
     # -- layout ------------------------------------------------------------
+
+    @staticmethod
+    def step_tag(k: int, phase: int) -> int:
+        """Logical tag of step ``k``'s ``phase`` broadcast: this
+        program's window of the tag space (``repro.obs.phases``)."""
+        return STEP_STRIDE * k + phase
 
     def plan(self, k: int) -> StepPlan:
         """Layout facts for step k (pure arithmetic, memoized).
@@ -111,7 +129,7 @@ class ExecutorBase:
     def _t_fill(self) -> float:
         n_elems = self.cfg.local_rows * self.cfg.local_cols
         regen = self.cm.regen_time(n_elems)
-        h2d = self.km.h2d_time(n_elems * 4)  # FP32 upload
+        h2d = self.km.h2d_time(n_elems * self.storage_dtype.itemsize)
         return regen + h2d
 
     def _t_getrf(self) -> float:
@@ -138,8 +156,12 @@ class ExecutorBase:
             self._kernel_calls("executor.kernel_calls", kind="gemm").inc()
         return secs
 
-    def _t_d2h(self) -> float:
-        return self.km.h2d_time(self.cfg.local_rows * self.cfg.local_cols * 4)
+    def transfer_to_host(self) -> float:
+        """Modelled download time of the factored local matrix."""
+        return self.km.h2d_time(
+            self.cfg.local_rows * self.cfg.local_cols
+            * self.storage_dtype.itemsize
+        )
 
     # -- IR timing ------------------------------------------------------------
 
@@ -178,9 +200,6 @@ class PhantomExecutor(ExecutorBase):
     """Timing-only executor: payloads are :class:`PhantomArray` stand-ins."""
 
     exact = False
-
-    def __init__(self, cfg: BenchmarkConfig, p_ir: int, p_ic: int, rank: int):
-        super().__init__(cfg, p_ir, p_ic, rank)
 
     # -- factorization ---------------------------------------------------------
 
@@ -234,10 +253,6 @@ class PhantomExecutor(ExecutorBase):
         n = p.trail_cols - (self.b if skip_col else 0)
         return self._t_gemm(m, n)
 
-    def transfer_to_host(self) -> float:
-        """Modelled device-to-host transfer time."""
-        return self._t_d2h()
-
     # -- iterative refinement ------------------------------------------------
 
     def ir_setup(self) -> float:
@@ -285,10 +300,7 @@ class PhantomExecutor(ExecutorBase):
 
     def ir_matvec_partial(self, v) -> Tuple[PhantomArray, float]:
         """Partial ``A @ v`` (same cost structure as the residual)."""
-        return (
-            PhantomArray((self.cfg.n,), np.float64),
-            self._t_ir_residual(),
-        )
+        return self.ir_residual_partial()
 
     def ir_apply_correction(self, d) -> float:
         """Charge the x-update (axpy) time."""
@@ -322,19 +334,21 @@ class ExactExecutor(ExecutorBase):
             * cfg.p_rows + p_ir
         )
         self.local: Optional[np.ndarray] = None
+        # triangular-sweep accumulators
+        self.update_acc = np.zeros(cfg.n)
+        self.solve_partial = np.zeros(cfg.n)
         # IR state
         self.x: Optional[np.ndarray] = None
         self.b_vec: Optional[np.ndarray] = None
         self.diag_a: Optional[np.ndarray] = None
-        self.update_acc: Optional[np.ndarray] = None
-        self.solve_partial: Optional[np.ndarray] = None
         self.last_residual_norm = float("inf")
         self.ir_iterations = 0
 
     # -- factorization ---------------------------------------------------------
 
     def fill_local(self) -> float:
-        """Generate the local pieces of A in FP64 and store as FP32.
+        """Generate the local pieces of A in FP64 and keep them in the
+        storage precision (FP32 for HPL-AI).
 
         Mirrors Algorithm 1 line 2 + the host-to-device copy.  One bulk
         :meth:`~repro.lcg.matrix.HplAiMatrix.block` call per local tile
@@ -346,7 +360,9 @@ class ExactExecutor(ExecutorBase):
         """
         cfg = self.cfg
         b = self.b
-        local = np.empty((cfg.local_rows, cfg.local_cols), dtype=np.float32)
+        local = np.empty(
+            (cfg.local_rows, cfg.local_cols), dtype=self.storage_dtype
+        )
         all_cols = cfg.p_cols == 1
         with self._hotpath_span("fill_local"):
             for lr in range(cfg.row_dim.blocks_per_proc):
@@ -460,21 +476,14 @@ class ExactExecutor(ExecutorBase):
         self._gemm_sub(c, l16[roff:], u16t[coff:])
         return self._t_gemm(m, n)
 
-    def transfer_to_host(self) -> float:
-        """Charge the factored-matrix download time."""
-        return self._t_d2h()
-
     # -- iterative refinement --------------------------------------------------
 
     def ir_setup(self) -> float:
         """Generate b and diag(A); initialize x = b / diag(A)."""
-        n = self.cfg.n
         self.b_vec = self.matrix.rhs()
         self.diag_a = self.matrix.diagonal()
         self.x = self.b_vec / self.diag_a
-        self.update_acc = np.zeros(n)
-        self.solve_partial = np.zeros(n)
-        return self.cm.regen_time(2 * n)
+        return self.cm.regen_time(2 * self.cfg.n)
 
     def ir_residual_partial(self) -> Tuple[np.ndarray, float]:
         """Algorithm 1 lines 34-42: partial ``-A x`` over this rank's tiles.
@@ -543,7 +552,7 @@ class ExactExecutor(ExecutorBase):
     # distributed triangular solves ------------------------------------------
 
     def _local_block(self, g_row: int, g_col: int) -> np.ndarray:
-        """Local FP32 storage of global block (g_row, g_col); caller must
+        """Local storage of global block (g_row, g_col); caller must
         ensure this rank owns it."""
         lr = self.cfg.row_dim.local_block(g_row)
         lc = self.cfg.col_dim.local_block(g_col)
@@ -565,8 +574,8 @@ class ExactExecutor(ExecutorBase):
         return seg, 0.0
 
     def ir_diag_solve(self, j: int, y, lower: bool) -> Tuple[np.ndarray, float]:
-        """TRSV of the j-th diagonal block (FP32 factors, FP64 rhs)."""
-        block = self._local_block(j, j).astype(np.float64)
+        """TRSV of the j-th diagonal block (stored factors, FP64 rhs)."""
+        block = self._local_block(j, j).astype(np.float64, copy=False)
         if lower:
             w = self.shim.trsv_lower_unit(block, y)
         else:
@@ -596,7 +605,7 @@ class ExactExecutor(ExecutorBase):
         lc = self.cfg.col_dim.local_block(j)
         stacked = self.local[
             lr0 * b : (lr0 + count) * b, lc * b : (lc + 1) * b
-        ].astype(np.float64)
+        ].astype(np.float64, copy=False)
         prod = stacked @ w
         acc = self.update_acc.reshape(-1, b)
         acc[self._grow_blocks[lr0 : lr0 + count]] -= prod.reshape(count, b)

@@ -5,35 +5,37 @@ the double-precision baseline *as a distributed algorithm* on the same
 virtual machine, so the mixed-precision speedup can be measured inside
 the event engine rather than only anchored to published numbers.
 
-Differences from the HPL-AI driver (:mod:`repro.core.hplai`):
+It is the same rank program as HPL-AI (:mod:`repro.core.hplai`: fill,
+``factorization_phase``, broadcasts, trailing update, the distributed
+triangular sweeps of :mod:`repro.core.refine`) run on an
+:class:`HplExecutor`, whose class names the two pieces that differ:
 
-- everything is FP64 (no casts, no FP16 panels, no refinement);
-- the panel factorization pivots: for each column within the panel, the
-  process column owning it runs a pivot search (an Allreduce of
-  (|value|, global row) pairs), exchanges pivot rows, and broadcasts the
-  pivot row segment for the rank-1 update;
-- row interchanges are applied to the trailing matrix LASWP-style before
-  the update, as point-to-point row exchanges between owner ranks;
-- the final solve applies the accumulated interchanges to b and then
-  runs the same distributed triangular sweeps as refinement, once.
+- :func:`_pivoted_panel_phase` — everything is FP64 (no casts), and the
+  panel factorization pivots column by column within the process column
+  owning the panel; the row interchanges are then applied to the rest
+  of the matrix LASWP-style, as point-to-point row exchanges between
+  owner ranks, before the U panel is solved;
+- :func:`_pivoted_solve_phase` — no refinement: the accumulated
+  interchanges are applied to b and the sweeps run once.
 
-The implementation favours clarity over panel-level optimizations (no
-look-ahead; HPL's own look-ahead story is equivalent to HPL-AI's) and is
+No look-ahead (HPL's own look-ahead story is equivalent to HPL-AI's):
 intended for exact-mode validation at small N plus per-operation timing.
 """
 
 from __future__ import annotations
 
-import contextlib
-from typing import List, Optional, Tuple
+from functools import partial
+from typing import List, Tuple
 
 import numpy as np
+import scipy.linalg as sla
 
-from repro.comm.vmpi import RankComm
 from repro.core.config import BenchmarkConfig
-from repro.core.layout import make_step_plan
+from repro.core.driver import _run_ranks
+from repro.core.executors import ExactExecutor
+from repro.core.hplai import _sync_bcast
+from repro.core.refine import triangular_sweep
 from repro.errors import SingularMatrixError
-from repro.lcg.matrix import HplAiMatrix
 from repro.obs import context as obs_context
 from repro.simulate.events import Barrier, Compute, Now
 from repro.util import flops as fl
@@ -45,98 +47,63 @@ def _tag(k: int, phase: int, j: int = 0) -> int:
     return _TAG_BASE + (k * 8 + phase) * 4096 + j
 
 
+# Wire phases of one step.  Phases 2 and 3 are the U / L panel
+# broadcasts of the shared step (repro.obs.phases.TAG_U_PANEL /
+# TAG_L_PANEL through HplExecutor.step_tag).
+#: MAXLOC candidates to the diagonal-row owner, per panel column j
 TAG_PIVROW = 0
+#: the winning (|value|, row) back to the column members, per column j
 TAG_SWAP = 1
-TAG_U_PANEL = 2
-TAG_L_PANEL = 3
+#: factored diagonal block along the pivot process row.  Shares phase 2
+#: with the U panel and cannot collide with it: an engine mailbox is
+#: keyed (src, dst, tag), every edge of a row broadcast joins two ranks
+#: of one process row, every edge of a column broadcast two ranks of
+#: one process column, and two distinct ranks share at most one of them.
+TAG_DIAG_BCAST = 2
+#: in-panel exchange of rows ``col`` and ``pivot_row``, per column j
 TAG_SWAP_TRAIL = 4
+#: pivot row's panel segment down the panel's process column, per column j
+TAG_PIVROW_BCAST = 5
+#: the panel's pivot list along the process rows
+TAG_IPIV = 6
 #: batched LASWP exchange — one message per (panel, peer pair), so the
 #: phase needs no per-column ``j`` offset.  (The old per-column scheme
 #: added ``span_idx`` to ``_tag(k, 7, j)``, which aliased column j+1's
 #: span-0 tag between the same rank pair.)
 TAG_LASWP = 7
 
-_NULL_CTX = contextlib.nullcontext()
 
+class HplExecutor(ExactExecutor):
+    """Per-rank FP64 storage and kernels for distributed HPL.
 
-class HplExecutor:
-    """Per-rank FP64 storage and kernels for distributed HPL."""
+    The exact executor with FP64 as its storage precision: fill, plan
+    memo, block lookup and the sweep kernels are inherited; the FP64
+    TRSM / GEMM and their charged times, and the pivoting pieces, are
+    its own.  ``matrix`` is any object with ``block(r0, r1, c0, c1)``
+    and ``rhs()``; HPL proper runs general matrices, so tests inject
+    non-dominant ones to exercise the pivoting.
+    """
+
+    storage_dtype = np.dtype(np.float64)
+    step_tag = staticmethod(_tag)
+
+    def panel_phase(self, comm, k: int):
+        """Generator: this rank's step-k panels, pivoted."""
+        return _pivoted_panel_phase(self.cfg, self, comm, k)
+
+    def solve_phase(self, comm, t_start: float):
+        """Generator: the pivoted direct solve and its result dict."""
+        return _pivoted_solve_phase(self.cfg, self, comm, t_start)
 
     def __init__(self, cfg: BenchmarkConfig, p_ir: int, p_ic: int, rank: int,
                  matrix=None):
-        self.cfg = cfg
-        self.p_ir = p_ir
-        self.p_ic = p_ic
-        self.rank = rank
-        self.b = cfg.block
-        self.km = cfg.machine.gpu_kernels
-        self.cm = cfg.machine.cpu_kernels
-        #: any object with ``block(r0, r1, c0, c1)`` and ``rhs()``; HPL
-        #: proper runs general matrices, so tests inject non-dominant
-        #: ones to exercise the pivoting.
-        self.matrix = matrix if matrix is not None else HplAiMatrix(
-            cfg.n, cfg.seed
-        )
-        #: global element index per local row/column, strictly increasing
-        #: — the bulk gather/scatter maps for the vectorized hot paths
+        super().__init__(cfg, p_ir, p_ic, rank)
+        if matrix is not None:
+            self.matrix = matrix
+        #: global element index per local row, strictly increasing
         self._grows = cfg.row_dim.element_indices(p_ir)
-        self._gcols = cfg.col_dim.element_indices(p_ic)
-        self.local: Optional[np.ndarray] = None
         #: global pivot rows, ipiv[g] = row swapped with row g at step g
         self.ipiv: List[int] = []
-        self._obs_on = obs_context.current().enabled
-
-    # -- layout helpers ---------------------------------------------------
-
-    def plan(self, k: int):
-        """Layout facts for step k."""
-        return make_step_plan(self.cfg, self.p_ir, self.p_ic, k)
-
-    def owns_row(self, global_row: int) -> bool:
-        """Whether this rank's process row owns a global row index."""
-        return self.cfg.row_dim.owner_of_index(global_row) == self.p_ir
-
-    def local_row(self, global_row: int) -> int:
-        """Local element index of a global row this rank owns."""
-        return self.cfg.row_dim.local_index(global_row)
-
-    def owns_col(self, global_col: int) -> bool:
-        """Whether this rank's process column owns a global column."""
-        return self.cfg.col_dim.owner_of_index(global_col) == self.p_ic
-
-    def local_col(self, global_col: int) -> int:
-        """Local element index of a global column this rank owns."""
-        return self.cfg.col_dim.local_index(global_col)
-
-    # -- data ------------------------------------------------------------------
-
-    def fill_local(self) -> float:
-        """Regenerate this rank's FP64 tiles; returns the time.
-
-        One full-width ``block()`` call per local tile row band, with the
-        owned columns gathered out — the band is the canonical tile-cache
-        unit shared with the other ranks of this process row and the
-        post-solve verification pass.
-        """
-        cfg, b = self.cfg, self.b
-        local = np.empty((cfg.local_rows, cfg.local_cols))
-        all_cols = cfg.p_cols == 1
-        span = (
-            obs_context.current().tracer.span(
-                "fill_local", "hotpath", self.rank, clock="wall")
-            if self._obs_on else _NULL_CTX
-        )
-        with span:
-            for lr in range(cfg.row_dim.blocks_per_proc):
-                gr = cfg.row_dim.global_block(self.p_ir, lr)
-                band = self.matrix.block(gr * b, (gr + 1) * b, 0, cfg.n)
-                local[lr * b:(lr + 1) * b, :] = (
-                    band if all_cols else band[:, self._gcols]
-                )
-        self.local = local
-        # FP64 generation + upload: twice the FP32 volume.
-        n_elems = cfg.local_rows * cfg.local_cols
-        return self.cm.regen_time(n_elems) + self.km.h2d_time(n_elems * 8)
 
     # -- panel factorization pieces ----------------------------------------------
 
@@ -149,7 +116,7 @@ class HplExecutor:
         resolve to the first (lowest local = lowest global) occurrence,
         exactly as the historical per-block scan did.
         """
-        lc = self.local_col(col)
+        lc = self.cfg.col_dim.local_index(col)
         lo = int(np.searchsorted(self._grows, row_start))
         if lo >= self._grows.size:
             return -1.0, -1
@@ -157,27 +124,22 @@ class HplExecutor:
         idx = int(np.argmax(col_abs))
         return float(col_abs[idx]), int(self._grows[lo + idx])
 
-    def get_row_segment(self, global_row: int, col_lo: int, col_hi: int) -> np.ndarray:
-        """This rank's local slice of row ``global_row`` between the
-        *local column offsets* [col_lo, col_hi)."""
-        lr = self.local_row(global_row)
-        return self.local[lr, col_lo:col_hi].copy()
+    def gather_row(self, global_row: int, spans) -> np.ndarray:
+        """Copy of one local row's columns over ``spans`` (local column
+        offset pairs ``[lo, hi)``), concatenated into a flat buffer."""
+        lr = self.cfg.row_dim.local_index(global_row)
+        if len(spans) == 1:
+            lo, hi = spans[0]
+            return self.local[lr, lo:hi].copy()
+        return np.concatenate([self.local[lr, lo:hi] for lo, hi in spans])
 
-    def set_row_segment(self, global_row: int, col_lo: int, col_hi: int,
-                        values: np.ndarray) -> None:
-        """Overwrite this rank's local slice of a global row."""
-        lr = self.local_row(global_row)
-        self.local[lr, col_lo:col_hi] = values
-
-    def panel_col_range(self, k: int) -> Tuple[int, int]:
-        """Local column offsets [lo, hi) of panel block-column k (owner)."""
-        lc = (k // self.cfg.p_cols) * self.b
-        return lc, lc + self.b
-
-    def trailing_col_range(self, k: int) -> Tuple[int, int]:
-        """Local column offsets of the trailing region at step k."""
-        plan = self.plan(k)
-        return plan.c1, self.cfg.local_cols
+    def scatter_row(self, global_row: int, spans, values: np.ndarray) -> None:
+        """Inverse of :meth:`gather_row`: write the flat buffer back."""
+        lr = self.cfg.row_dim.local_index(global_row)
+        off = 0
+        for lo, hi in spans:
+            self.local[lr, lo:hi] = values[off: off + hi - lo]
+            off += hi - lo
 
     def scale_and_update_panel(self, col: int, row_start: int,
                                pivot_row_seg: np.ndarray, pivot_val: float,
@@ -192,7 +154,7 @@ class HplExecutor:
             raise SingularMatrixError(
                 f"zero/non-finite pivot in column {col}"
             )
-        lc = self.local_col(col)
+        lc = self.cfg.col_dim.local_index(col)
         j_in_panel = lc - panel_lo
         # The MAXLOC exchange carries |pivot|; the *signed* pivot is the
         # broadcast pivot row's own entry.
@@ -222,13 +184,10 @@ class HplExecutor:
     def extract_l_panel(self, k: int) -> np.ndarray:
         """L panel chunk (trailing local rows x B), FP64."""
         plan = self.plan(k)
-        lo, hi = self.panel_col_range(k)
-        return self.local[plan.r1:, lo:hi].copy()
+        return self.local[plan.r1:, plan.diag_c: plan.diag_c + self.b].copy()
 
     def trsm_row_panel(self, k: int, diag: np.ndarray) -> float:
         """U panel: solve L11 X = A12 on the pivot row."""
-        import scipy.linalg as sla
-
         plan = self.plan(k)
         if plan.trail_cols == 0:
             return 0.0
@@ -249,28 +208,27 @@ class HplExecutor:
 
     def extract_diag(self, k: int) -> np.ndarray:
         """Copy of the factored diagonal block (packed L\\U)."""
-        plan = self.plan(k)
-        return self.local[
-            plan.diag_r: plan.diag_r + self.b,
-            plan.diag_c: plan.diag_c + self.b,
-        ].copy()
+        return self._diag_view(k).copy()
 
-    def gemm_trailing(self, k: int, l_panel: np.ndarray, u_panel: np.ndarray) -> float:
-        """FP64 trailing update; returns the modelled time."""
+    def gemm_trailing(self, k: int, l16: np.ndarray, u16t: np.ndarray,
+                      skip_row: bool = False, skip_col: bool = False) -> float:
+        """FP64 trailing update; returns the modelled time.
+
+        The panels travel as extracted — ``l16`` is the FP64 L chunk and
+        ``u16t`` the FP64 U chunk, neither cast nor transposed — and the
+        synchronous schedule never skips a strip.
+        """
         plan = self.plan(k)
         m, n = plan.trail_rows, plan.trail_cols
         if m == 0 or n == 0:
             return 0.0
-        self.local[plan.r1:, plan.c1:] -= l_panel @ u_panel
+        self.local[plan.r1:, plan.c1:] -= l16 @ u16t
         return self.km.fp64_gemm_time(m, n, self.b)
 
-    # -- solve -------------------------------------------------------------------
-
-    def _local_block(self, g_row: int, g_col: int) -> np.ndarray:
-        b = self.b
-        lr = self.cfg.row_dim.local_block(g_row)
-        lc = self.cfg.col_dim.local_block(g_col)
-        return self.local[lr * b:(lr + 1) * b, lc * b:(lc + 1) * b]
+    def _charge_col_update(self, nblocks: int) -> float:
+        """Unpipelined sweep timing: the whole stacked GEMV sits on the
+        serial chain, nothing is deferred."""
+        return self._t_ir_block_gemv(nblocks)
 
 
 def _pivot_reduce(candidates):
@@ -278,9 +236,7 @@ def _pivot_reduce(candidates):
 
     Largest value wins; equal values resolve to the lowest row index.
     The ``(-1.0, -1)`` "no candidate" sentinel never wins against a real
-    candidate: a previous version compared ``0 <= row < best[1]``, which
-    is false while ``best[1] == -1``, so a valid candidate *tying* the
-    sentinel-free best was dropped depending on arrival order.
+    candidate, whatever the arrival order.
     """
     best = (-1.0, -1)
     for val, row in candidates:
@@ -306,25 +262,6 @@ def _laswp_permutation(ipiv, col_lo: int, col_hi: int) -> dict:
             continue
         cur[col], cur[p] = cur.get(p, p), cur.get(col, col)
     return {dest: src for dest, src in cur.items() if dest != src}
-
-
-def _gather_row(ex: HplExecutor, global_row: int, spans) -> np.ndarray:
-    """One local row's span columns, concatenated into a flat buffer."""
-    lr = ex.local_row(global_row)
-    if len(spans) == 1:
-        lo, hi = spans[0]
-        return ex.local[lr, lo:hi].copy()
-    return np.concatenate([ex.local[lr, lo:hi] for lo, hi in spans])
-
-
-def _scatter_row(ex: HplExecutor, global_row: int, spans,
-                 values: np.ndarray) -> None:
-    """Inverse of :func:`_gather_row`: write the flat buffer back."""
-    lr = ex.local_row(global_row)
-    off = 0
-    for lo, hi in spans:
-        ex.local[lr, lo:hi] = values[off: off + hi - lo]
-        off += hi - lo
 
 
 def _apply_laswp_batched(cfg, ex: HplExecutor, comm, grid, k: int,
@@ -358,13 +295,8 @@ def _apply_laswp_batched(cfg, ex: HplExecutor, comm, grid, k: int,
             src_rows_needed.add(src)
     if not (incoming or outgoing or local_moves):
         return
-    old = {src: _gather_row(ex, src, spans) for src in src_rows_needed}
-    span_ctx = (
-        obs_context.current().tracer.span(
-            "laswp_batch", "hotpath", ex.rank, clock="wall", panel=k)
-        if ex._obs_on else _NULL_CTX
-    )
-    with span_ctx:
+    old = {src: ex.gather_row(src, spans) for src in src_rows_needed}
+    with ex._hotpath_span("laswp_batch", panel=k):
         for peer in sorted(set(incoming) | set(outgoing)):
             out_rows = outgoing.get(peer)
             in_rows = incoming.get(peer)
@@ -373,25 +305,20 @@ def _apply_laswp_batched(cfg, ex: HplExecutor, comm, grid, k: int,
                 np.stack([old[src] for _dest, src in out_rows])
                 if out_rows else None
             )
-            theirs = None
             # Lower process row sends first — a deterministic order both
             # sides agree on (the engine's sends are buffered, but the
             # discipline keeps the protocol rendezvous-safe).
-            if my < peer:
-                if payload is not None:
-                    yield from comm.send(peer_rank, payload, _tag(k, TAG_LASWP))
-                if in_rows:
-                    theirs = yield from comm.recv(peer_rank, _tag(k, TAG_LASWP))
-            else:
-                if in_rows:
-                    theirs = yield from comm.recv(peer_rank, _tag(k, TAG_LASWP))
-                if payload is not None:
-                    yield from comm.send(peer_rank, payload, _tag(k, TAG_LASWP))
+            if payload is not None and my < peer:
+                yield from comm.send(peer_rank, payload, _tag(k, TAG_LASWP))
+            if in_rows:
+                theirs = yield from comm.recv(peer_rank, _tag(k, TAG_LASWP))
+            if payload is not None and my > peer:
+                yield from comm.send(peer_rank, payload, _tag(k, TAG_LASWP))
             if in_rows:
                 for (dest, _src), row_vals in zip(in_rows, theirs):
-                    _scatter_row(ex, dest, spans, row_vals)
+                    ex.scatter_row(dest, spans, row_vals)
         for dest, src in local_moves:
-            _scatter_row(ex, dest, spans, old[src])
+            ex.scatter_row(dest, spans, old[src])
 
 
 def _column_strip(m, cfg: BenchmarkConfig, jj: int) -> np.ndarray:
@@ -411,304 +338,175 @@ def _column_strip(m, cfg: BenchmarkConfig, jj: int) -> np.ndarray:
     ])
 
 
-def hpl_rank_program(cfg: BenchmarkConfig, ex: HplExecutor, rank: int):
-    """Distributed FP64 HPL: factorization + pivoted solve.
+def _pivoted_panel_phase(cfg: BenchmarkConfig, ex: HplExecutor, comm, k: int):
+    """Produce this rank's step-k panels with partial pivoting.
+
+    Panel factorization column by column (MAXLOC search, in-panel row
+    swap, pivot-row broadcast, rank-1 update), the panel's pivot list
+    along the rows, the batched LASWP, the diagonal block along the
+    pivot row and the U-panel TRSM.  Returns ``(u, l)``: the FP64 U / L
+    chunks this rank produced (None for the ones it will receive).
+    """
+    grid = cfg.grid
+    rank = ex.rank
+    b = cfg.block
+    ipiv = ex.ipiv
+    plan = ex.plan(k)
+    kc = plan.owner_col
+    in_panel_col = plan.in_pivot_col
+    panel_lo, panel_hi = plan.diag_c, plan.diag_c + b
+    panel = [(panel_lo, panel_hi)]
+
+    # ---- panel factorization with partial pivoting -----------------------
+    if in_panel_col:
+        col_members = grid.col_members(kc)
+        for j in range(b):
+            col = k * b + j
+            cand = ex.local_pivot_candidate(col, col)
+            # Pivot selection (MPI_MAXLOC equivalent): every column
+            # member sends its best candidate to the diagonal-row
+            # owner, which picks the winner and rebroadcasts it.
+            diag_owner = grid.rank_of(cfg.row_dim.owner_of_index(col), kc)
+            if rank == diag_owner:
+                cands = [cand]
+                for src in col_members:
+                    if src != rank:
+                        cands.append(
+                            (yield from comm.recv(src, _tag(k, TAG_PIVROW, j)))
+                        )
+                pivot_val, pivot_row = _pivot_reduce(cands)
+                for dst in col_members:
+                    if dst != rank:
+                        yield from comm.send(
+                            dst, (pivot_val, pivot_row), _tag(k, TAG_SWAP, j)
+                        )
+            else:
+                yield from comm.send(diag_owner, cand, _tag(k, TAG_PIVROW, j))
+                pivot_val, pivot_row = yield from comm.recv(
+                    diag_owner, _tag(k, TAG_SWAP, j)
+                )
+            if pivot_row < 0 or pivot_val == 0.0:
+                raise SingularMatrixError(f"singular at column {col}")
+            ipiv.append(pivot_row)
+
+            # Swap rows `col` and `pivot_row` within the panel.
+            if pivot_row != col:
+                owner_a = cfg.row_dim.owner_of_index(col)
+                owner_b = cfg.row_dim.owner_of_index(pivot_row)
+                if owner_a == owner_b:
+                    if ex.p_ir == owner_a:
+                        ra = ex.gather_row(col, panel)
+                        ex.scatter_row(col, panel, ex.gather_row(pivot_row, panel))
+                        ex.scatter_row(pivot_row, panel, ra)
+                elif ex.p_ir in (owner_a, owner_b):
+                    # Cross-row exchange; the owner of `col` sends first.
+                    first = ex.p_ir == owner_a
+                    my_row = col if first else pivot_row
+                    other_rank = grid.rank_of(owner_b if first else owner_a, kc)
+                    mine = ex.gather_row(my_row, panel)
+                    tag = _tag(k, TAG_SWAP_TRAIL, j)
+                    if first:
+                        yield from comm.send(other_rank, mine, tag)
+                    theirs = yield from comm.recv(other_rank, tag)
+                    if not first:
+                        yield from comm.send(other_rank, mine, tag)
+                    ex.scatter_row(my_row, panel, theirs)
+
+            # Broadcast the pivot row's panel segment for the update.
+            pivot_seg = yield from _sync_bcast(
+                cfg, comm,
+                ex.gather_row(col, panel) if rank == diag_owner else None,
+                diag_owner, col_members, _tag(k, TAG_PIVROW_BCAST, j), "bcast",
+            )
+            secs = ex.scale_and_update_panel(
+                col, col + 1, pivot_seg, pivot_val, panel_lo, panel_hi
+            )
+            yield Compute("getrf", secs)
+
+    # Broadcast the pivot list for this panel along the rows: every rank
+    # needs it for LASWP and for the solve.
+    if cfg.p_cols > 1:
+        panel_piv = yield from _sync_bcast(
+            cfg, comm, tuple(ipiv[k * b:]) if in_panel_col else None,
+            grid.rank_of(ex.p_ir, kc), grid.row_members(ex.p_ir),
+            _tag(k, TAG_IPIV), "bcast",
+        )
+        if not in_panel_col:
+            ipiv.extend(panel_piv)
+
+    # ---- apply interchanges LAPACK-style (LASWP), batched --------------
+    # Full-width row swaps — including previously factored L columns —
+    # so that the stored factors are exactly those of P A and the
+    # solve is two clean triangular sweeps on the permuted b.  The
+    # panel's own columns were already swapped during factorization
+    # on the panel owners, so they are excluded there.  The panel's
+    # column-by-column swap sequence composes into one net row
+    # permutation that every rank derives from the shared ipiv, so
+    # all interchanges collapse into at most one stacked send/recv
+    # pair per peer process row (tag phase TAG_LASWP, no per-column
+    # or per-span tag arithmetic).
+    if in_panel_col:
+        spans = [(0, panel_lo), (panel_hi, cfg.local_cols)]
+    else:
+        spans = [(0, cfg.local_cols)]
+    spans = [(lo, hi) for lo, hi in spans if hi > lo]
+    sigma = _laswp_permutation(ipiv, k * b, (k + 1) * b)
+    if spans and sigma:
+        yield from _apply_laswp_batched(cfg, ex, comm, grid, k, spans, sigma)
+
+    # ---- diagonal block along the pivot row, U-panel TRSM ----------------
+    diag = ex.extract_diag(k) if plan.is_owner else None
+    if plan.in_pivot_row and cfg.p_cols > 1:
+        diag = yield from _sync_bcast(
+            cfg, comm, diag, grid.rank_of(plan.owner_row, plan.owner_col),
+            grid.row_members(plan.owner_row), _tag(k, TAG_DIAG_BCAST), "bcast",
+        )
+    u_panel = l_panel = None
+    if plan.in_pivot_row:
+        secs = ex.trsm_row_panel(k, diag)
+        yield Compute("trsm", secs)
+        u_panel = ex.extract_u_panel(k)
+    if in_panel_col:
+        l_panel = ex.extract_l_panel(k)
+    return u_panel, l_panel
+
+
+def _pivoted_solve_phase(cfg: BenchmarkConfig, ex: HplExecutor, comm,
+                         t_start: float):
+    """Permute b, run the two distributed sweeps once, check the
+    residual outside the timed window.
 
     Returns ``{"x", "residual_norm", "t_total", ...}`` (exact data).
     """
-    comm = RankComm(
-        rank, cfg.machine.mpi, bcast_algorithm=cfg.bcast_algorithm,
-        ring_segments=cfg.ring_segments,
-        node_of=cfg.node_grid.node_of_rank,
-    )
-    grid = cfg.grid
     everyone = tuple(range(cfg.num_ranks))
     b = cfg.block
-    nb = cfg.num_blocks
-
-    secs = ex.fill_local()
-    yield Compute("fill", secs)
-    yield Barrier(everyone)
-    t_start = yield Now()
-
-    ipiv: List[int] = []
-    for k in range(nb):
-        plan = ex.plan(k)
-        kc = plan.owner_col
-        col_members = grid.col_members(kc)
-        in_panel_col = ex.p_ic == kc
-        panel_lo = panel_hi = None
-        if in_panel_col:
-            panel_lo, panel_hi = ex.panel_col_range(k)
-
-        # ---- panel factorization with partial pivoting -------------------
-        for j in range(b):
-            col = k * b + j
-            if col >= cfg.n:
-                break
-            if in_panel_col:
-                cand = ex.local_pivot_candidate(col, col)
-                # Pivot selection (MPI_MAXLOC equivalent): every column
-                # member sends its best candidate to the diagonal-row
-                # owner, which picks the winner and rebroadcasts it.
-                diag_owner = grid.rank_of(
-                    cfg.row_dim.owner_of_index(col), kc
-                )
-                if rank == diag_owner:
-                    cands = [cand]
-                    for src in col_members:
-                        if src != rank:
-                            cands.append(
-                                (yield from comm.recv(src, _tag(k, TAG_PIVROW, j)))
-                            )
-                    pivot_val, pivot_row = _pivot_reduce(cands)
-                    for dst in col_members:
-                        if dst != rank:
-                            yield from comm.send(
-                                dst, (pivot_val, pivot_row),
-                                _tag(k, TAG_SWAP, j),
-                            )
-                else:
-                    yield from comm.send(
-                        diag_owner, cand, _tag(k, TAG_PIVROW, j)
-                    )
-                    pivot_val, pivot_row = yield from comm.recv(
-                        diag_owner, _tag(k, TAG_SWAP, j)
-                    )
-                if pivot_row < 0 or pivot_val == 0.0:
-                    raise SingularMatrixError(f"singular at column {col}")
-                ipiv.append(pivot_row)
-
-                # Swap rows `col` and `pivot_row` within the panel.
-                if pivot_row != col:
-                    owner_a = cfg.row_dim.owner_of_index(col)
-                    owner_b = cfg.row_dim.owner_of_index(pivot_row)
-                    if owner_a == owner_b:
-                        if ex.p_ir == owner_a:
-                            ra = ex.get_row_segment(col, panel_lo, panel_hi)
-                            rb = ex.get_row_segment(pivot_row, panel_lo, panel_hi)
-                            ex.set_row_segment(col, panel_lo, panel_hi, rb)
-                            ex.set_row_segment(pivot_row, panel_lo, panel_hi, ra)
-                    elif ex.p_ir == owner_a:
-                        mine = ex.get_row_segment(col, panel_lo, panel_hi)
-                        other_rank = grid.rank_of(owner_b, kc)
-                        yield from comm.send(
-                            other_rank, mine, _tag(k, TAG_SWAP_TRAIL, j)
-                        )
-                        theirs = yield from comm.recv(
-                            other_rank, _tag(k, TAG_SWAP_TRAIL, j)
-                        )
-                        ex.set_row_segment(col, panel_lo, panel_hi, theirs)
-                    elif ex.p_ir == owner_b:
-                        mine = ex.get_row_segment(pivot_row, panel_lo, panel_hi)
-                        other_rank = grid.rank_of(owner_a, kc)
-                        theirs = yield from comm.recv(
-                            other_rank, _tag(k, TAG_SWAP_TRAIL, j)
-                        )
-                        yield from comm.send(
-                            other_rank, mine, _tag(k, TAG_SWAP_TRAIL, j)
-                        )
-                        ex.set_row_segment(pivot_row, panel_lo, panel_hi, theirs)
-
-                # Broadcast the pivot row's panel segment for the update.
-                prow_owner = grid.rank_of(cfg.row_dim.owner_of_index(col), kc)
-                if rank == prow_owner:
-                    seg = ex.get_row_segment(col, panel_lo, panel_hi)
-                    yield from comm.bcast_start(
-                        seg, prow_owner, col_members, _tag(k, TAG_PIVROW + 5, j),
-                        algorithm="bcast",
-                    )
-                    pivot_seg = seg
-                else:
-                    pivot_seg = yield from comm.bcast_finish(
-                        prow_owner, _tag(k, TAG_PIVROW + 5, j)
-                    )
-                secs = ex.scale_and_update_panel(
-                    col, col + 1, pivot_seg, pivot_val, panel_lo, panel_hi
-                )
-                yield Compute("getrf", secs)
-        # Broadcast the pivot list for this panel along the rows.
-        row_members_all = everyone  # every rank needs ipiv for the solve
-        panel_piv = ipiv[k * b:(k + 1) * b] if in_panel_col else None
-        src_rank = grid.rank_of(ex.p_ir, kc)
-        if cfg.p_cols > 1:
-            members = grid.row_members(ex.p_ir)
-            if in_panel_col:
-                yield from comm.bcast_start(
-                    tuple(panel_piv), src_rank, members, _tag(k, 6),
-                    algorithm="bcast",
-                )
-                piv_list = list(panel_piv)
-            else:
-                piv_list = list((yield from comm.bcast_finish(src_rank, _tag(k, 6))))
-            if not in_panel_col:
-                ipiv.extend(piv_list)
-        del row_members_all
-
-        # ---- apply interchanges LAPACK-style (LASWP), batched --------------
-        # Full-width row swaps — including previously factored L columns —
-        # so that the stored factors are exactly those of P A and the
-        # solve is two clean triangular sweeps on the permuted b.  The
-        # panel's own columns were already swapped during factorization
-        # on the panel owners, so they are excluded there.  The panel's
-        # column-by-column swap sequence composes into one net row
-        # permutation that every rank derives from the shared ipiv, so
-        # all interchanges collapse into at most one stacked send/recv
-        # pair per peer process row (tag phase TAG_LASWP, no per-column
-        # or per-span tag arithmetic).
-        if in_panel_col:
-            spans = [(0, panel_lo), (panel_hi, cfg.local_cols)]
-        else:
-            spans = [(0, cfg.local_cols)]
-        spans = [(lo, hi) for lo, hi in spans if hi > lo]
-        sigma = _laswp_permutation(ipiv, k * b, min((k + 1) * b, cfg.n))
-        if spans and sigma:
-            yield from _apply_laswp_batched(cfg, ex, comm, grid, k, spans, sigma)
-
-        # ---- diagonal + U panel + trailing update -----------------------------
-        plan = ex.plan(k)
-        diag_owner_rank = grid.rank_of(plan.owner_row, plan.owner_col)
-        diag = None
-        if plan.is_owner:
-            diag = ex.extract_diag(k)
-        if plan.in_pivot_row and cfg.p_cols > 1:
-            members = grid.row_members(plan.owner_row)
-            if plan.is_owner:
-                yield from comm.bcast_start(
-                    diag, diag_owner_rank, members, _tag(k, 2), algorithm="bcast"
-                )
-            else:
-                diag = yield from comm.bcast_finish(diag_owner_rank, _tag(k, 2))
-        u_panel = None
-        if plan.in_pivot_row:
-            secs = ex.trsm_row_panel(k, diag)
-            yield Compute("trsm", secs)
-            u_panel = ex.extract_u_panel(k)
-        l_panel = None
-        if plan.in_pivot_col:
-            l_panel = ex.extract_l_panel(k)
-        # Broadcast panels.
-        if plan.trail_cols > 0 and cfg.p_rows > 1:
-            root = grid.rank_of(plan.owner_row, ex.p_ic)
-            if plan.in_pivot_row:
-                yield from comm.bcast_start(
-                    u_panel, root, grid.col_members(ex.p_ic),
-                    _tag(k, TAG_U_PANEL),
-                )
-            else:
-                u_panel = yield from comm.bcast_finish(root, _tag(k, TAG_U_PANEL))
-        if plan.trail_rows > 0 and cfg.p_cols > 1:
-            root = grid.rank_of(ex.p_ir, plan.owner_col)
-            if plan.in_pivot_col:
-                yield from comm.bcast_start(
-                    l_panel, root, grid.row_members(ex.p_ir),
-                    _tag(k, TAG_L_PANEL),
-                )
-            else:
-                l_panel = yield from comm.bcast_finish(root, _tag(k, TAG_L_PANEL))
-        secs = ex.gemm_trailing(k, l_panel, u_panel)
-        yield Compute("gemm", secs)
-
-    ex.ipiv = ipiv
     yield Barrier(everyone)
     t_fact = yield Now()
 
-    # ---- solve: permute b, then two distributed sweeps -------------------------
     m = ex.matrix
     b_vec = m.rhs().copy()
-    for g, p in enumerate(ipiv):
+    for g, p in enumerate(ex.ipiv):
         if p != g:
             b_vec[[g, p]] = b_vec[[p, g]]
-    # Reuse the refinement sweep machinery with an FP64 "executor" view.
-    from repro.core.refine import triangular_sweep
-
-    class _SolveView:
-        """Adapter exposing the executor surface triangular_sweep needs."""
-
-        p_ir, p_ic = ex.p_ir, ex.p_ic
-
-        def __init__(self):
-            self.update_acc = np.zeros(cfg.n)
-            self.solve_partial = np.zeros(cfg.n)
-
-        def ir_reset_sweep(self, lower):
-            self.update_acc[:] = 0.0
-            self.solve_partial[:] = 0.0
-
-        def ir_row_contrib(self, jj, rhs, lower):
-            seg = self.update_acc[jj * b:(jj + 1) * b].copy()
-            if ex.p_ic == jj % cfg.p_cols:
-                seg += rhs[jj * b:(jj + 1) * b]
-            return seg, 0.0
-
-        def ir_diag_solve(self, jj, y, lower):
-            import scipy.linalg as sla
-
-            block = ex._local_block(jj, jj)
-            if lower:
-                w = sla.solve_triangular(block, y, lower=True,
-                                         unit_diagonal=True)
-            else:
-                w = sla.solve_triangular(block, y, lower=False)
-            return w, ex.cm.trsv_time(b)
-
-        def ir_store_solution_segment(self, jj, w):
-            self.solve_partial[jj * b:(jj + 1) * b] = w
-
-        def ir_col_update(self, jj, w, lower):
-            # The participating local block rows are contiguous, so the
-            # per-block GEMVs collapse into one stacked GEMV + scatter
-            # (bitwise-identical per-row dot products).
-            total = cfg.row_dim.blocks_per_proc
-            if lower:
-                count = cfg.row_dim.local_blocks_at_or_after(ex.p_ir, jj + 1)
-                lr0 = total - count
-            else:
-                count = total - cfg.row_dim.local_blocks_at_or_after(
-                    ex.p_ir, jj
-                )
-                lr0 = 0
-            if count == 0:
-                return 0.0
-            lc = cfg.col_dim.local_block(jj)
-            stacked = ex.local[lr0 * b:(lr0 + count) * b, lc * b:(lc + 1) * b]
-            prod = stacked @ w
-            acc = self.update_acc.reshape(-1, b)
-            g0 = lr0 * cfg.p_rows + ex.p_ir
-            acc[g0: g0 + count * cfg.p_rows: cfg.p_rows] -= prod.reshape(
-                count, b
-            )
-            return ex.cm.gemv_time(count * b, b)
-
-        def ir_solution_partial(self):
-            return self.solve_partial.copy(), 0.0
-
-        def ir_sweep_deferred(self):
-            return 0.0
-
-    view = _SolveView()
-    yield from triangular_sweep(cfg, view, comm, b_vec, lower=True, iteration=0)
-    wp, _ = view.ir_solution_partial()
+    yield from triangular_sweep(cfg, ex, comm, b_vec, lower=True, iteration=0)
+    wp, _ = ex.ir_solution_partial()
     w = yield from comm.allreduce(wp, everyone)
-    yield from triangular_sweep(cfg, view, comm, w, lower=False, iteration=0)
-    xp, _ = view.ir_solution_partial()
+    yield from triangular_sweep(cfg, ex, comm, w, lower=False, iteration=0)
+    xp, _ = ex.ir_solution_partial()
     x = yield from comm.allreduce(xp, everyone)
     yield Barrier(everyone)
     t_end = yield Now()
 
     # residual check: the first process row regenerates its process
     # column's blocks (full height) so each global column contributes
-    # exactly once to the Allreduce.  For cache-backed matrices the
-    # column strip is assembled from the full-width row bands the fills
-    # already cached (every global row block was banded by its owning
-    # process row), so this pass regenerates nothing.
-    partial = np.zeros(cfg.n)
+    # exactly once to the Allreduce.
+    partial_ax = np.zeros(cfg.n)
     if ex.p_ir == 0:
         for lc in range(cfg.col_dim.blocks_per_proc):
             jj = cfg.col_dim.global_block(ex.p_ic, lc)
             tile = _column_strip(m, cfg, jj)
-            partial += tile @ x[jj * b:(jj + 1) * b]
-    ax = yield from comm.allreduce(partial, everyone)
+            partial_ax += tile @ x[jj * b:(jj + 1) * b]
+    ax = yield from comm.allreduce(partial_ax, everyone)
     residual = float(np.max(np.abs(m.rhs() - ax)))
 
     return {
@@ -716,7 +514,7 @@ def hpl_rank_program(cfg: BenchmarkConfig, ex: HplExecutor, rank: int):
         "residual_norm": residual,
         "t_factorization": t_fact - t_start,
         "t_total": t_end - t_start,
-        "ipiv": list(ipiv),
+        "ipiv": list(ex.ipiv),
     }
 
 
@@ -728,23 +526,9 @@ def solve_hpl_distributed(cfg: BenchmarkConfig, matrix=None):
     ``block(r0, r1, c0, c1)`` and ``rhs()``) so general, pivot-requiring
     systems can be solved.
     """
-    from repro.machine.topology import CommCosts
-    from repro.simulate.engine import Engine
-
-    costs = CommCosts(
-        cfg.machine, port_binding=cfg.port_binding, gpu_aware=cfg.gpu_aware
+    outcome = _run_ranks(
+        cfg, partial(HplExecutor, matrix=matrix), obs_context.current()
     )
-    engine = Engine(
-        cfg.num_ranks, costs, node_of_rank=cfg.node_grid.node_of_rank,
-        mpi=cfg.machine.mpi,
-    )
-
-    def factory(rank: int):
-        p_ir, p_ic = cfg.grid.coords_of(rank)
-        ex = HplExecutor(cfg, p_ir, p_ic, rank, matrix=matrix)
-        return hpl_rank_program(cfg, ex, rank)
-
-    outcome = engine.run(factory)
     result = dict(outcome.returns[0])
     result["elapsed"] = outcome.elapsed
     result["stats"] = outcome.stats

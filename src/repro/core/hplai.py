@@ -1,15 +1,20 @@
-"""The distributed HPL-AI factorization rank program (Algorithm 1).
+"""The distributed block-LU rank program (Algorithm 1).
 
 One generator per rank, engine-agnostic: local math and its modelled
-cost come from the executor (exact or phantom), communication goes
-through :class:`repro.comm.RankComm` using the routed (hardware-
-progressed) broadcasts.
+cost come from the executor, communication goes through
+:class:`repro.comm.RankComm`.  :func:`factorization_phase` is the only
+step loop in the package: each step is *produce my panels* → broadcast
+panels → trailing update.  Producing the panels is the seam between
+programs — unpivoted HPL-AI (exact or phantom executor) factors the
+diagonal, solves and casts (:func:`_diag_phase`, :func:`_panel_compute`);
+FP64 HPL names its pivoted panel phase on its executor class
+(:attr:`ExecutorBase.panel_phase`, see :mod:`repro.core.hpl_dist`).
 
 Two schedules are provided:
 
-- **synchronous** (``lookahead=False``): each step factors the diagonal,
-  solves and broadcasts the panels, then updates the whole trailing
-  matrix — communication sits on the critical path;
+- **synchronous** (``lookahead=False``, and every pivoted program): each
+  step produces and broadcasts the panels, then updates the whole
+  trailing matrix — communication sits on the critical path;
 - **look-ahead** (``lookahead=True``, Section IV-B): while the step-k
   panels update the bulk of the trailing matrix, the step-(k+1) column
   and row strips are updated first, factored, solved, cast, and their
@@ -17,9 +22,15 @@ Two schedules are provided:
   GEMM and the last two terms of eq. (1) become
   ``max(T_BCAST_PANEL, T_GEMM)``.
 
-Wire-tag layout: step ``k`` uses logical tags ``8k .. 8k+5``
-(diag-row, diag-col, U-panel, L-panel); iterative refinement uses a
-disjoint high window (see :mod:`repro.core.refine`).
+Broadcasts are routed (hardware-progressed: the root launches, non-roots
+receive) or, with ``progression="inband"``, relayed inside the rank
+programs: root and non-roots then meet in ``comm.bcast`` where a routed
+non-root would receive.
+
+Wire-tag layout: step ``k`` uses the logical tags ``ex.step_tag(k,
+phase)`` — ``8k .. 8k+3`` (diag-row, diag-col, U-panel, L-panel) for
+HPL-AI; iterative refinement uses a disjoint high window (see
+:mod:`repro.core.refine`).
 """
 
 from __future__ import annotations
@@ -31,7 +42,6 @@ from repro.core.config import BenchmarkConfig
 from repro.core.executors import ExecutorBase
 from repro.core.refine import refinement_phase
 from repro.obs.phases import (
-    STEP_STRIDE,
     TAG_DIAG_COL,
     TAG_DIAG_ROW,
     TAG_L_PANEL,
@@ -40,8 +50,23 @@ from repro.obs.phases import (
 from repro.simulate.events import Barrier, Compute, Now
 
 
-def _tag(k: int, phase: int) -> int:
-    return STEP_STRIDE * k + phase
+def _sync_bcast(cfg, comm: RankComm, payload, root: int, members, tag: int,
+                algorithm: Optional[str] = None):
+    """One member's side of a broadcast that every member enters at the
+    same program point; ``yield from`` it for the payload.
+
+    Routed, the root launches and the others receive; in-band, all of
+    them run the relay generator.  Returns the comm generator itself
+    (hence the lint waivers: the caller's ``yield from`` drives it), so
+    no frame of its own sits between the rank program and the engine.
+    """
+    if cfg.progression == "inband":
+        return comm.bcast(  # lint: ignore[hygiene]
+            payload, root, members, tag, algorithm=algorithm)
+    if comm.rank == root:
+        return comm.bcast_start(  # lint: ignore[hygiene]
+            payload, root, members, tag, algorithm=algorithm)
+    return comm.bcast_finish(root, tag)  # lint: ignore[hygiene]
 
 
 def _diag_phase(cfg: BenchmarkConfig, ex: ExecutorBase, comm: RankComm, k: int):
@@ -56,23 +81,15 @@ def _diag_phase(cfg: BenchmarkConfig, ex: ExecutorBase, comm: RankComm, k: int):
         diag, secs = ex.getrf_diag(k)
         yield Compute("getrf", secs)
     if plan.in_pivot_row and cfg.p_cols > 1:
-        members = grid.row_members(plan.owner_row)
-        if plan.is_owner:
-            yield from comm.bcast_start(
-                diag, owner_rank, members, _tag(k, TAG_DIAG_ROW),
-                algorithm=cfg.diag_algorithm,
-            )
-        else:
-            diag = yield from comm.bcast_finish(owner_rank, _tag(k, TAG_DIAG_ROW))
+        diag = yield from _sync_bcast(
+            cfg, comm, diag, owner_rank, grid.row_members(plan.owner_row),
+            ex.step_tag(k, TAG_DIAG_ROW), cfg.diag_algorithm,
+        )
     if plan.in_pivot_col and cfg.p_rows > 1:
-        members = grid.col_members(plan.owner_col)
-        if plan.is_owner:
-            yield from comm.bcast_start(
-                diag, owner_rank, members, _tag(k, TAG_DIAG_COL),
-                algorithm=cfg.diag_algorithm,
-            )
-        else:
-            diag = yield from comm.bcast_finish(owner_rank, _tag(k, TAG_DIAG_COL))
+        diag = yield from _sync_bcast(
+            cfg, comm, diag, owner_rank, grid.col_members(plan.owner_col),
+            ex.step_tag(k, TAG_DIAG_COL), cfg.diag_algorithm,
+        )
     return diag
 
 
@@ -98,7 +115,8 @@ def _panel_compute(cfg, ex, comm, k: int, diag):
 
 
 def _panel_bcast_start(cfg, ex, comm: RankComm, k: int, u16t, l16):
-    """Initiate the two panel broadcasts (lines 16 / 25) from the roots."""
+    """Launch the two routed panel broadcasts (lines 16 / 25) from the
+    roots, ahead of the point where the other ranks need them."""
     grid = cfg.grid
     plan = ex.plan(k)
     p_ir, p_ic = ex.p_ir, ex.p_ic
@@ -106,71 +124,63 @@ def _panel_bcast_start(cfg, ex, comm: RankComm, k: int, u16t, l16):
         # I own the U chunk for my process column; send it down the column.
         members = grid.col_members(p_ic)
         root = grid.rank_of(plan.owner_row, p_ic)
-        yield from comm.bcast_start(u16t, root, members, _tag(k, TAG_U_PANEL))
+        yield from comm.bcast_start(
+            u16t, root, members, ex.step_tag(k, TAG_U_PANEL))
     if plan.trail_rows > 0 and cfg.p_cols > 1 and plan.in_pivot_col:
         members = grid.row_members(p_ir)
         root = grid.rank_of(p_ir, plan.owner_col)
-        yield from comm.bcast_start(l16, root, members, _tag(k, TAG_L_PANEL))
+        yield from comm.bcast_start(
+            l16, root, members, ex.step_tag(k, TAG_L_PANEL))
 
 
-def _panel_bcast_finish(cfg, ex, comm: RankComm, k: int, u16t, l16):
-    """Receive the panels this rank did not produce."""
+def _panel_bcast_finish(cfg, ex, comm: RankComm, k: int, u16t, l16,
+                        launched: bool = True):
+    """Complete the panel broadcasts: U down the process columns, then L
+    along the process rows; returns both panels on every rank.
+
+    With ``launched`` the roots started theirs in
+    :func:`_panel_bcast_start` and only the other ranks receive here;
+    otherwise each panel's root and non-roots meet here.
+    """
     grid = cfg.grid
     plan = ex.plan(k)
-    if plan.trail_cols > 0 and not plan.in_pivot_row and cfg.p_rows > 1:
+    if plan.trail_cols > 0 and cfg.p_rows > 1:
         root = grid.rank_of(plan.owner_row, ex.p_ic)
-        u16t = yield from comm.bcast_finish(root, _tag(k, TAG_U_PANEL))
-    if plan.trail_rows > 0 and not plan.in_pivot_col and cfg.p_cols > 1:
+        if not launched:
+            u16t = yield from _sync_bcast(
+                cfg, comm, u16t, root, grid.col_members(ex.p_ic),
+                ex.step_tag(k, TAG_U_PANEL))
+        elif not plan.in_pivot_row:
+            u16t = yield from comm.bcast_finish(
+                root, ex.step_tag(k, TAG_U_PANEL))
+    if plan.trail_rows > 0 and cfg.p_cols > 1:
         root = grid.rank_of(ex.p_ir, plan.owner_col)
-        l16 = yield from comm.bcast_finish(root, _tag(k, TAG_L_PANEL))
+        if not launched:
+            l16 = yield from _sync_bcast(
+                cfg, comm, l16, root, grid.row_members(ex.p_ir),
+                ex.step_tag(k, TAG_L_PANEL))
+        elif not plan.in_pivot_col:
+            l16 = yield from comm.bcast_finish(
+                root, ex.step_tag(k, TAG_L_PANEL))
     return u16t, l16
 
 
 def _full_panel_step(cfg, ex, comm, k: int):
-    """Synchronous diagonal + panel phase; returns (u16t, l16)."""
-    if cfg.progression == "inband":
-        return (yield from _full_panel_step_inband(cfg, ex, comm, k))
-    diag = yield from _diag_phase(cfg, ex, comm, k)
-    u16t, l16 = yield from _panel_compute(cfg, ex, comm, k, diag)
-    yield from _panel_bcast_start(cfg, ex, comm, k, u16t, l16)
-    u16t, l16 = yield from _panel_bcast_finish(cfg, ex, comm, k, u16t, l16)
-    return u16t, l16
-
-
-def _full_panel_step_inband(cfg, ex, comm, k: int):
-    """The no-async-progression variant: every broadcast runs in-band
-    (relay forwarding executes inside the rank programs, via the
-    generators in :mod:`repro.comm.bcast` / :mod:`repro.comm.ring`)."""
-    grid = cfg.grid
-    plan = ex.plan(k)
-    p_ir, p_ic = ex.p_ir, ex.p_ic
-    owner_rank = grid.rank_of(plan.owner_row, plan.owner_col)
-    diag = None
-    if plan.is_owner:
-        diag, secs = ex.getrf_diag(k)
-        yield Compute("getrf", secs)
-    if plan.in_pivot_row and cfg.p_cols > 1:
-        diag = yield from comm.bcast(
-            diag, owner_rank, grid.row_members(plan.owner_row),
-            _tag(k, TAG_DIAG_ROW), algorithm=cfg.diag_algorithm,
-        )
-    if plan.in_pivot_col and cfg.p_rows > 1:
-        diag = yield from comm.bcast(
-            diag, owner_rank, grid.col_members(plan.owner_col),
-            _tag(k, TAG_DIAG_COL), algorithm=cfg.diag_algorithm,
-        )
-    u16t, l16 = yield from _panel_compute(cfg, ex, comm, k, diag)
-    if plan.trail_cols > 0 and cfg.p_rows > 1:
-        root = grid.rank_of(plan.owner_row, p_ic)
-        u16t = yield from comm.bcast(
-            u16t, root, grid.col_members(p_ic), _tag(k, TAG_U_PANEL)
-        )
-    if plan.trail_rows > 0 and cfg.p_cols > 1:
-        root = grid.rank_of(p_ir, plan.owner_col)
-        l16 = yield from comm.bcast(
-            l16, root, grid.row_members(p_ir), _tag(k, TAG_L_PANEL)
-        )
-    return u16t, l16
+    """Synchronous step: produce this rank's panels, broadcast them;
+    returns (u16t, l16)."""
+    if ex.panel_phase is None:
+        diag = yield from _diag_phase(cfg, ex, comm, k)
+        u16t, l16 = yield from _panel_compute(cfg, ex, comm, k, diag)
+    else:
+        u16t, l16 = yield from ex.panel_phase(comm, k)
+    # The unpivoted routed step launches both panels before it receives
+    # either; the pivoted step keeps its per-panel order (U, then L,
+    # root or not), which is also the only order in-band relays allow.
+    launched = ex.panel_phase is None and cfg.progression == "routed"
+    if launched:
+        yield from _panel_bcast_start(cfg, ex, comm, k, u16t, l16)
+    return (yield from _panel_bcast_finish(
+        cfg, ex, comm, k, u16t, l16, launched))
 
 
 def factorization_phase(
@@ -185,12 +195,19 @@ def factorization_phase(
     wall-clock phase boundaries for the Fig-10 style breakdown.
     """
     nb = cfg.num_blocks
+    pivoted = ex.panel_phase is not None
 
-    if not cfg.lookahead:
+    if pivoted or not cfg.lookahead:
+        # The unpivoted program has always read the step clocks, traced
+        # or not (the engine goldens pin its op count); the pivoted one
+        # reads them only for a trace.
+        clocked = trace is not None or not pivoted
         for k in range(nb):
-            t0 = yield Now()
+            if clocked:
+                t0 = yield Now()
             u16t, l16 = yield from _full_panel_step(cfg, ex, comm, k)
-            t1 = yield Now()
+            if clocked:
+                t1 = yield Now()
             secs = ex.gemm_trailing(k, u16t=u16t, l16=l16, skip_row=False,
                                     skip_col=False)
             yield Compute("gemm", secs)
@@ -242,7 +259,9 @@ def hplai_rank_program(
     rank: int,
     trace: Optional[List[dict]] = None,
 ):
-    """Full benchmark program for one rank: fill, factorize, refine.
+    """Full benchmark program for one rank: fill, factorize, then
+    refine — or, for an executor that names one, its own ``solve_phase``
+    (FP64 HPL's pivoted direct solve).
 
     Returns a dict with the executor's result payload plus the wall-clock
     phase boundaries (virtual seconds).
@@ -264,6 +283,8 @@ def hplai_rank_program(
 
     my_trace = trace if rank == 0 else None
     yield from factorization_phase(cfg, ex, comm, my_trace)
+    if ex.solve_phase is not None:
+        return (yield from ex.solve_phase(comm, t_start))
 
     secs = ex.transfer_to_host()
     yield Compute("d2h", secs)
