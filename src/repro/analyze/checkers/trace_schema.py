@@ -1,8 +1,6 @@
 """``trace-schema`` / ``profile-schema``: validate exported JSON artifacts.
 
-The library-level home of what ``scripts/check_trace_schema.py`` used
-to implement standalone (the script is now a thin shim over this
-module).  :func:`check_trace` validates a parsed trace document;
+:func:`check_trace` validates a parsed trace document;
 :class:`TraceSchemaChecker` adapts it to the :mod:`repro.analyze`
 framework so ``repro lint trace.json`` is the single entry point.
 :func:`check_profile_report` / :class:`ProfileReportChecker` do the

@@ -633,6 +633,11 @@ def cmd_trace(args) -> int:
         kept = len(select_spans(obs.tracer.columns(), sel["cats"], sel["ranks"]))
         print(f"  exported {kept} spans after --category/--rank filters")
     print(f"  chrome trace -> {path}  (open in https://ui.perfetto.dev)")
+    from repro.obs.export import spans_companion
+
+    companion = spans_companion(path)
+    if companion.exists():
+        print(f"  span columns -> {companion}  (what repro profile reads)")
     if args.jsonl:
         print(f"  span log     -> {obs.export_jsonl(args.jsonl, **sel)}")
     if args.json:

@@ -6,7 +6,7 @@ along (provenance, metrics snapshot) — so the same critical-path /
 imbalance / comm-matrix code works on:
 
 - a live :class:`~repro.obs.SpanTracer` (or ``Observability`` handle),
-- an exported Chrome-trace JSON file (``repro trace --out``), or
+- an exported Chrome-trace JSON file (``repro trace --out``) or its span columns, or
 - an exported JSONL span log (``repro trace --jsonl``).
 
 The loaders also own the *semantic* mapping from raw span names to
@@ -20,16 +20,18 @@ distinct ``(cat, name, tag)``, never once per span.
 
 from __future__ import annotations
 
+import hashlib
 import json
 from functools import cached_property, lru_cache
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro.errors import ConfigurationError
+from repro.obs.export import SPANS_SCHEMA, spans_companion
 from repro.obs.phases import decode_wire_tag
-from repro.obs.tracer import NONE, Span, SpanColumns, SpanTracer
+from repro.obs.tracer import FIELDS, NONE, Span, SpanColumns, SpanTracer
 
 #: executor span names that belong to the refinement solve
 _IR_KERNELS = {"gemv", "trsv", "ir_gemv", "ir_setup", "ir_update"}
@@ -38,7 +40,15 @@ _IR_KERNELS = {"gemv", "trsv", "ir_gemv", "ir_setup", "ir_update"}
 _COLLECTIVE_WAITS = {"wait_allreduce", "wait_reduce", "wait_barrier"}
 
 #: what a mistyped or out-of-range field of a trace record raises
-_BAD_RECORD = (TypeError, ValueError, OverflowError, ConfigurationError)
+_BAD_RECORD = (TypeError, ValueError, OverflowError, AttributeError, ConfigurationError)
+
+
+class _BadAttrs(ConfigurationError):
+    """Span ``span``'s attrs do not fold into the attribute columns."""
+
+    def __init__(self, span: int, exc: Exception) -> None:
+        super().__init__(f"span {span}: {exc}")
+        self.span, self.exc = span, exc
 
 
 def distinct_rows(*columns: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -93,14 +103,17 @@ class ProfileInput(SpanColumns):
         self.x_bytes = self.nbytes.copy()
         self.x_intra = self.intra.astype(bool)
         for i, attrs in self.extra.items():
-            if attrs.get("tag") is not None:
-                self.x_tag[i] = int(attrs["tag"])
-            if "src" in attrs:
-                self.x_src[i] = int(attrs["src"])
-            if "dst" in attrs:
-                self.x_dst[i] = int(attrs["dst"])
-                self.x_bytes[i] = int(attrs.get("bytes", 0))
-                self.x_intra[i] = bool(attrs.get("intra"))
+            try:
+                if attrs.get("tag") is not None:
+                    self.x_tag[i] = int(attrs["tag"])
+                if "src" in attrs:
+                    self.x_src[i] = int(attrs["src"])
+                if "dst" in attrs:
+                    self.x_dst[i] = int(attrs["dst"])
+                    self.x_bytes[i] = int(attrs.get("bytes", 0))
+                    self.x_intra[i] = bool(attrs.get("intra"))
+            except _BAD_RECORD as exc:
+                raise _BadAttrs(i, exc) from None
 
     @cached_property
     def spans(self) -> List[Span]:
@@ -173,7 +186,7 @@ def _rank_of_tid(tid: int, labels: dict) -> int:
     return tid
 
 
-def _fill_from_chrome(tracer: SpanTracer, doc: dict) -> None:
+def _fill_from_chrome(tracer: SpanTracer, doc: dict) -> Callable[[int], str]:
     events = doc.get("traceEvents")
     if not isinstance(events, list):
         raise ConfigurationError(
@@ -186,6 +199,7 @@ def _fill_from_chrome(tracer: SpanTracer, doc: dict) -> None:
         and ev.get("name") == "thread_name"
     }
     lanes: dict = {}  # tid -> rank, resolved once per lane
+    where = []
     for n, ev in enumerate(events):
         if not isinstance(ev, dict) or ev.get("ph") != "X":
             continue
@@ -201,9 +215,12 @@ def _fill_from_chrome(tracer: SpanTracer, doc: dict) -> None:
             )
         except _BAD_RECORD as exc:
             raise ConfigurationError(f"traceEvents[{n}]: {exc}") from None
+        where.append(n)
+    return lambda i: f"traceEvents[{where[i]}]"
 
 
-def _fill_from_jsonl(tracer: SpanTracer, lines) -> None:
+def _fill_from_jsonl(tracer: SpanTracer, lines) -> Callable[[int], str]:
+    where = []
     for n, line in enumerate(lines, 1):
         if not line.strip():
             continue
@@ -218,26 +235,56 @@ def _fill_from_jsonl(tracer: SpanTracer, lines) -> None:
             )
         except _BAD_RECORD as exc:
             raise ConfigurationError(f"line {n}: {exc}") from None
+        where.append(n)
+    return lambda i: f"line {where[i]}"
+
+
+def _load_spans_npz(npz: Path, view: Optional[Path] = None) -> ProfileInput:
+    """The input a :data:`~repro.obs.export.SPANS_SCHEMA` file holds; with
+    ``view``, only if bound to that view's bytes.  Nothing is unpickled."""
+    with np.load(npz, allow_pickle=False) as z:
+        side = json.loads(z["side"].tobytes())
+        columns = [z[field] for field in FIELDS]
+    if side["schema"] != SPANS_SCHEMA or view and (
+        view.stat().st_size != side["view_bytes"]
+        or hashlib.sha256(view.read_bytes()).hexdigest() != side["view_sha256"]
+    ):
+        raise ConfigurationError(f"not the {SPANS_SCHEMA} columns of {view or 'a view'}")
+    tracer = SpanTracer.from_columns(side["names"], side["cats"], columns, side["attrs"])
+    other = side["other"] or {}
+    return ProfileInput(tracer, other.get("provenance"), other.get("metrics"),
+                        source=str(view or npz))
 
 
 def load_profile_input(path) -> ProfileInput:
-    """Load an exported trace artifact (Chrome JSON or JSONL spans).
+    """Load an exported trace artifact (Chrome JSON, JSONL spans or
+    span columns).
 
-    A ``.jsonl`` suffix means a span log; anything else must be one JSON
-    document whose first non-blank character is ``{``.  Empty,
-    truncated and mistyped input raises
-    :class:`~repro.errors.ConfigurationError` naming the file (and the
-    line or event).
+    A file with the zip magic is span columns.  A Chrome view is read
+    from its :func:`~repro.obs.export.spans_companion` while that is
+    bound to the view's bytes, and parsed otherwise.  A ``.jsonl``
+    suffix means a span log; anything else must be one JSON document
+    whose first non-blank character is ``{``.  Empty, truncated and
+    mistyped input raises :class:`~repro.errors.ConfigurationError`
+    naming the file (and the line or event).
     """
     p = Path(path)
     if not p.exists():
         raise ConfigurationError(f"trace file {p} does not exist")
+    with p.open("rb") as fh:
+        npz = fh.read(4) == b"PK\x03\x04"  # the zip magic: span columns
+    if npz or p.suffix != ".jsonl":
+        try:
+            return _load_spans_npz(p) if npz else _load_spans_npz(spans_companion(p), p)
+        except Exception as exc:  # lint: ignore[hygiene] - no usable companion: parse the view
+            if npz:
+                raise ConfigurationError(f"{p}: not a span-columns file: {exc}") from None
     tracer = SpanTracer()
     prov = metrics = None
     try:
         with p.open() as fh:
             if p.suffix == ".jsonl":
-                _fill_from_jsonl(tracer, fh)
+                where = _fill_from_jsonl(tracer, fh)
                 if not len(tracer):
                     raise ConfigurationError("is empty")
             else:
@@ -257,13 +304,16 @@ def load_profile_input(path) -> ProfileInput:
                         "neither a Chrome trace (no 'traceEvents') nor a "
                         "JSONL span log"
                     )
-                _fill_from_chrome(tracer, doc)
+                where = _fill_from_chrome(tracer, doc)
                 other = doc.get("otherData") or {}
                 prov = other.get("provenance")
                 metrics = other.get("metrics")
+        try:
+            return ProfileInput(tracer, prov, metrics, source=str(p))
+        except _BadAttrs as exc:
+            raise ConfigurationError(f"{where(exc.span)}: {exc.exc}") from None
     except ConfigurationError as exc:
         raise ConfigurationError(f"{p}: {exc}") from None
-    return ProfileInput(tracer, prov, metrics, source=str(p))
 
 
 # -- semantic mapping -------------------------------------------------------

@@ -6,7 +6,8 @@ Three machine-readable views of one telemetry stream:
   ``trace_event`` JSON format loadable in ``chrome://tracing`` or
   https://ui.perfetto.dev (spans become ``"X"`` complete events; ranks
   become thread lanes, categories become event ``cat`` values; the
-  provenance block rides in ``otherData``);
+  provenance block rides in ``otherData``); the writer leaves the
+  columns the view parses back to beside it (:func:`spans_companion`);
 - :func:`write_jsonl` — one JSON object per span, append-friendly, the
   format to diff/grep across recorded campaigns;
 - :func:`to_prometheus_text` — a flat Prometheus-exposition-style dump
@@ -27,18 +28,24 @@ reports).
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
+import os
+from itertools import islice
 from pathlib import Path
-from typing import Iterable, Iterator, List, Optional, Sequence, Union
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Union
 
 import numpy as np
 
 from repro.obs.metrics import Histogram, MetricsRegistry
-from repro.obs.tracer import NONE, Span, SpanColumns, SpanTracer
+from repro.obs.tracer import FIELDS, NONE, Span, SpanColumns, SpanTracer
 
 #: schema version stamped into exported Chrome traces
 TRACE_SCHEMA_VERSION = 1
+
+#: schema id of a Chrome view's span-columns companion (docs/OBSERVABILITY.md)
+SPANS_SCHEMA = "repro.obs.spans/v1"
 
 #: seconds -> trace_event microseconds
 _US = 1e6
@@ -108,16 +115,16 @@ def filter_spans(
     return cols.take(select_spans(cols, cats, ranks, sort))
 
 
-def _span_text(cols: SpanColumns, idx: np.ndarray, head: str):
+def _span_text(cols: SpanColumns, idx: np.ndarray, head: str, texts: Dict[int, str]):
     """Per selected span: ``(head with name and cat filled in, start,
-    end, rank, attrs as JSON text or None)``."""
+    end, rank, attrs as JSON text or None)``; ``texts`` holds each
+    side-table attrs dict as JSON text."""
     kinds = cols.name[idx] * len(cols.cats) + cols.cat[idx]
     heads = {
         kind: head % (json.dumps(cols.names[kind // len(cols.cats)]),
                       json.dumps(cols.cats[kind % len(cols.cats)]))
         for kind in np.unique(kinds).tolist()
     }
-    extra = cols.extra
     for i, kind, start, end, rank, dst, nbytes, intra, tag in zip(
         idx.tolist(), kinds.tolist(), *(
             col[idx].tolist() for col in (cols.start, cols.end, cols.rank,
@@ -129,8 +136,7 @@ def _span_text(cols: SpanColumns, idx: np.ndarray, head: str):
                      f'{"true" if intra else "false"}')
             attrs += "}" if tag == NONE else f', "tag": {tag}}}'
         else:
-            attrs = extra.get(i)
-            attrs = dumps_strict(attrs) if attrs else None
+            attrs = texts.get(i)
         yield heads[kind], start, end, rank, attrs
 
 
@@ -142,15 +148,25 @@ def _resolve(source: "Union[SpanTracer, object]"):
     return tracer, metrics, provenance
 
 
-def _chrome_text(
-    source, provenance=None, include_metrics=True, pid=0, cats=None,
-    ranks=None, sort=False,
-) -> Iterator[str]:
-    """The Chrome trace document as JSON text, in pieces."""
+def _chrome_view(source, provenance=None, include_metrics=True, cats=None, ranks=None,
+                 sort=False):
+    """What a Chrome export writes: ``(columns, export order, side-table
+    attrs as JSON text by span, otherData as JSON text)``."""
     tracer, metrics, auto_prov = _resolve(source)
     provenance = provenance if provenance is not None else auto_prov
     cols = tracer.columns()
-    idx = select_spans(cols, cats, ranks, sort)
+    other: dict = {"schema": TRACE_SCHEMA_VERSION, "dropped_spans": tracer.dropped}
+    if provenance is not None:
+        other["provenance"] = provenance
+    if include_metrics and metrics is not None and len(metrics):
+        other["metrics"] = metrics.snapshot()
+    texts = {i: dumps_strict(attrs) for i, attrs in cols.extra.items()}
+    return cols, select_spans(cols, cats, ranks, sort), texts, dumps_strict(other)
+
+
+def _chrome_text(cols, idx, texts, other, pid=0) -> Iterator[str]:
+    """The Chrome trace document of a :func:`_chrome_view` as JSON text,
+    in pieces."""
     driver_tid = int(cols.rank.max(initial=-1)) + 1
 
     def thread(tid, name, kind="thread_name"):
@@ -164,20 +180,14 @@ def _chrome_text(
     )
     tail = f', "pid": {json.dumps(pid)}, "tid": '
     for head, start, end, rank, attrs in _span_text(
-        cols, idx, ', {"name": %s, "cat": %s, "ph": "X", "ts": '
+        cols, idx, ', {"name": %s, "cat": %s, "ph": "X", "ts": ', texts
     ):
         yield (
             f'{head}{_num(start * _US)}, "dur": {_num((end - start) * _US)}'
             f'{tail}{rank if rank >= 0 else driver_tid}'
             + (f', "args": {attrs}}}' if attrs else "}")
         )
-
-    other: dict = {"schema": TRACE_SCHEMA_VERSION, "dropped_spans": tracer.dropped}
-    if provenance is not None:
-        other["provenance"] = provenance
-    if include_metrics and metrics is not None and len(metrics):
-        other["metrics"] = metrics.snapshot()
-    yield '], "displayTimeUnit": "ms", "otherData": ' + dumps_strict(other) + "}"
+    yield '], "displayTimeUnit": "ms", "otherData": ' + other + "}"
 
 
 def to_chrome_trace(
@@ -202,18 +212,56 @@ def to_chrome_trace(
     The document is parsed back from the text :func:`write_chrome_trace`
     writes, so there is one definition of an event.
     """
-    return json.loads("".join(_chrome_text(
-        source, provenance, include_metrics, pid, cats, ranks, sort
-    )))
+    view = _chrome_view(source, provenance, include_metrics, cats, ranks, sort)
+    return json.loads("".join(_chrome_text(*view, pid)))
 
 
-def write_chrome_trace(path, source, **kwargs) -> Path:
-    """Stream the :func:`to_chrome_trace` document to ``path``; returns
-    the path."""
+def spans_companion(path) -> Path:
+    """The span columns written beside the Chrome view ``path``: ``<path>.spans.npz``."""
+    return Path(f"{path}.spans.npz")
+
+
+def write_chrome_trace(path, source, pid: int = 0, **kwargs) -> Path:
+    """Stream the :func:`to_chrome_trace` document to ``path``, then its
+    :func:`spans_companion` (see :data:`SPANS_SCHEMA`); returns the path."""
     path = Path(path)
-    with path.open("w") as fh:
-        fh.writelines(_chrome_text(source, **kwargs))
+    view = _chrome_view(source, **kwargs)
+    pieces, digest, size = _chrome_text(*view, pid), hashlib.sha256(), 0
+    with path.open("wb") as fh:
+        while chunk := "".join(islice(pieces, 4096)).encode():
+            digest.update(chunk)
+            size += fh.write(chunk)
+    _write_companion(path, *view, digest.hexdigest(), size)
     return path
+
+
+def _write_companion(path: Path, cols, idx, texts, other, sha256: str, size: int) -> None:
+    """Write the columns the view at ``path`` parses back to (none if it does not parse)."""
+    companion = spans_companion(path)
+    ts, dur = cols.start[idx] * _US, (cols.end[idx] - cols.start[idx]) * _US
+    if not (np.isfinite(ts).all() and ((dur >= 0) & (dur < np.inf)).all()
+            and all(type(label) is str for label in cols.names + cols.cats)):
+        companion.unlink(missing_ok=True)
+        return
+    columns = {field: getattr(cols, field)[idx] for field in FIELDS}
+    columns["start"] = ts / _US  # times after the µs round trip
+    columns["end"] = columns["start"] + dur / _US
+    columns["rank"] = np.maximum(columns["rank"], -1)  # the driver lane reads back as -1
+    columns["parent"][:] = -1  # the view carries no parents
+    tables = []  # labels re-interned in order of first appearance
+    for field, labels in (("name", cols.names), ("cat", cols.cats)):
+        ids, first, inverse = np.unique(columns[field], return_index=True, return_inverse=True)
+        order = np.argsort(first)
+        columns[field] = np.argsort(order).astype(np.int32)[inverse]
+        tables.append(json.dumps([labels[i] for i in ids[order].tolist()]))
+    at = np.flatnonzero(np.isin(idx, list(texts)))  # export positions with side-table attrs
+    attrs = ", ".join(f"[{p}, {texts[i]}]" for p, i in zip(at.tolist(), idx[at].tolist()))
+    side = (f'{{"schema": "{SPANS_SCHEMA}", "view_sha256": "{sha256}", "view_bytes": {size}, '
+            f'"names": {tables[0]}, "cats": {tables[1]}, "attrs": [{attrs}], "other": {other}}}')
+    tmp = companion.with_name(companion.name + ".tmp")
+    with tmp.open("wb") as fh:
+        np.savez(fh, side=np.frombuffer(side.encode(), dtype=np.uint8), **columns)
+    os.replace(tmp, companion)
 
 
 def write_jsonl(
@@ -236,6 +284,7 @@ def write_jsonl(
             for head, start, end, rank, attrs in _span_text(
                 cols, select_spans(cols, cats, ranks, sort),
                 '{"name": %s, "cat": %s, "rank": ',
+                {i: dumps_strict(attrs) for i, attrs in cols.extra.items()},
             )
         )
     return path

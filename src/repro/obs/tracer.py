@@ -211,6 +211,27 @@ class SpanTracer:
         self._open.clear()
         self._stack.clear()
 
+    @classmethod
+    def from_columns(cls, names, cats, columns, attrs=()) -> "SpanTracer":
+        """A tracer holding ``columns`` (one array per :data:`FIELDS` entry,
+        of its type code) with each ``(span index, attrs)`` of ``attrs``
+        placed by the lane rule of :meth:`add`."""
+        if any(c.dtype != np.dtype(code) or c.shape != columns[0].shape
+               for code, c in zip(_CODES, columns)):
+            raise ConfigurationError("span columns do not match FIELDS")
+        tracer = cls()
+        tracer.names = dict(zip(names, range(len(names))))
+        tracer.cats = dict(zip(cats, range(len(cats))))
+        tracer._cols = tuple(array(code, c.tobytes()) for code, c in zip(_CODES, columns))
+        for i, a in attrs:
+            lane = _xfer_lane(a) if a else _NO_LANE
+            if lane is None:
+                tracer._extra[i] = a
+            else:
+                for col, value in zip(tracer._cols[6:], lane):
+                    col[i] = value
+        return tracer
+
     # -- recording ---------------------------------------------------------
 
     def _unwind(self, n: int) -> None:

@@ -1,10 +1,13 @@
 """Tests for the trace-analytics layer (repro.obs.analysis)."""
 
+import enum
 import gc
 import io
 import json
 import warnings
+from unittest import mock
 
+import numpy as np
 import pytest
 
 from repro.cli import main
@@ -25,15 +28,16 @@ from repro.obs.analysis import (
     from_tracer,
     load_imbalance,
     load_profile_input,
+    loaders,
     measured_phase_seconds,
     phase_of_span,
     regression_deltas,
     step_flops,
     step_of_span,
 )
-from repro.obs.export import filter_spans
+from repro.obs.export import filter_spans, spans_companion, write_chrome_trace
 from repro.obs.phases import STEP_STRIDE, TAG_DIAG_ROW, TAG_U_PANEL
-from repro.obs.tracer import Span, SpanTracer
+from repro.obs.tracer import FIELDS, Span, SpanTracer
 
 
 def _cfg(**kwargs):
@@ -304,6 +308,23 @@ class TestLoaders:
          '{"traceEvents": [{"ph": "X", "name": "a", "ts": 5, "dur": -2}]}',
          "before it starts"),
         ("rank.jsonl", '{"name": "a", "rank": "zero"}\n', "line 1"),
+        # attrs that do not fold into the attribute columns, located by
+        # record (span 0 is traceEvents[1] / line 2)
+        ("tag.json",
+         '{"traceEvents": [{"ph": "M", "name": "thread_name", "tid": 0}, '
+         '{"ph": "X", "name": "a", "ts": 0, "args": {"src": 1, "tag": "x"}}]}',
+         "traceEvents[1]: invalid literal"),
+        ("huge.json",
+         '{"traceEvents": [{"ph": "M"}, {"ph": "X", "name": "a", "ts": 0, '
+         '"args": {"dst": 99999999999999999999999}}]}',
+         "traceEvents[1]:"),
+        ("list-args.json",
+         '{"traceEvents": [{"ph": "M"}, {"ph": "X", "name": "a", "args": [1]}]}',
+         "traceEvents[1]:"),
+        ("tag.jsonl", '\n{"name": "a", "attrs": {"src": 1, "tag": "x"}}\n',
+         "line 2: invalid literal"),
+        ("huge.jsonl", '{"name": "a"}\n{"name": "b", "attrs": {"src": 1e400}}\n',
+         "line 2:"),
     ])
     def test_bad_input_names_the_file(self, tmp_path, name, text, needle):
         path = tmp_path / name
@@ -311,6 +332,15 @@ class TestLoaders:
         with pytest.raises(ConfigurationError) as exc:
             load_profile_input(path)
         assert str(path) in str(exc.value) and needle in str(exc.value)
+
+    def test_mistyped_attrs_fail_located_with_a_companion_too(self, tmp_path):
+        tracer = SpanTracer()
+        tracer.add("a", "x", 0.0, 1.0, 0)
+        tracer.add("b", "x", 1.0, 2.0, 0, {"src": 1, "tag": "x"})
+        path = write_chrome_trace(tmp_path / "t.json", tracer)
+        assert spans_companion(path).exists()
+        with pytest.raises(ConfigurationError, match=r"t\.json: traceEvents\[3\]: invalid"):
+            load_profile_input(path)
 
     def test_spans_are_materialised_once_and_lazily(self, observed):
         _cfg_, obs, _res = observed
@@ -330,6 +360,119 @@ class TestLoaders:
     def test_config_from_empty_provenance_rejected(self):
         with pytest.raises(ConfigurationError):
             config_from_provenance({})
+
+
+def _same_columns(a, b):
+    """``a`` and ``b`` hold the same spans, bit for bit."""
+    return all(
+        getattr(a, f).tobytes() == getattr(b, f).tobytes() for f in FIELDS
+    ) and (a.names, a.cats, a.extra) == (b.names, b.cats, b.extra)
+
+
+def _rewrite(npz, **changes):
+    """Rewrite the span-columns file ``npz`` with ``changes`` applied."""
+    with np.load(npz) as z:
+        arrays = dict(z)
+    arrays.update(changes)
+    with open(npz, "wb") as fh:
+        np.savez(fh, **arrays)
+
+
+_unpickled = []
+
+
+class _Unpickles:
+    """An object whose unpickling would leave a mark."""
+
+    def __reduce__(self):
+        return _unpickled.append, ("unpickled",)
+
+
+class TestSpanColumnsCompanion:
+    """``load_profile_input`` reads a Chrome view's ``.spans.npz`` only
+    while it is bound to the view's bytes; anything else parses the view."""
+
+    @pytest.fixture()
+    def exported(self, observed, tmp_path):
+        _cfg_, obs, _res = observed
+        view = obs.export_chrome_trace(tmp_path / "trace.json", sort=True)
+        companion = spans_companion(view)
+        with mock.patch.object(loaders, "_fill_from_chrome",
+                               side_effect=AssertionError("the view was parsed")):
+            fast = load_profile_input(view)
+        data = companion.read_bytes()
+        companion.unlink()
+        parsed = load_profile_input(view)
+        companion.write_bytes(data)
+        return view, companion, fast, parsed
+
+    def test_companion_is_read_instead_of_the_view(self, exported):
+        view, companion, fast, parsed = exported
+        assert companion.name == "trace.json.spans.npz"
+        assert _same_columns(fast, parsed) and fast.source == parsed.source == str(view)
+        assert build_profile(fast).to_dict() == build_profile(parsed).to_dict()
+
+    def test_truncated_companion_is_ignored(self, exported):
+        view, companion, _fast, parsed = exported
+        companion.write_bytes(companion.read_bytes()[: companion.stat().st_size // 2])
+        assert _same_columns(load_profile_input(view), parsed)
+
+    def test_companion_of_another_schema_is_ignored(self, exported):
+        view, companion, _fast, parsed = exported
+        with np.load(companion) as z:
+            side = json.loads(z["side"].tobytes())
+            start = z["start"]
+        side["schema"] = "repro.obs.spans/v0"
+        _rewrite(companion, start=start * 2,
+                 side=np.frombuffer(json.dumps(side).encode(), dtype=np.uint8))
+        assert _same_columns(load_profile_input(view), parsed)
+
+    def test_edited_view_is_parsed(self, exported):
+        view, _companion, _fast, _parsed = exported
+        text = view.read_text()
+        view.write_text(text.replace('"name": "gemm"', '"name": "gemn"', 1))
+        assert view.stat().st_size == len(text)  # only the digest can tell
+        assert "gemn" in load_profile_input(view).names
+
+    def test_object_array_is_rejected_not_unpickled(self, exported):
+        view, companion, _fast, parsed = exported
+        _rewrite(companion, side=np.array([_Unpickles()], dtype=object))
+        assert _same_columns(load_profile_input(view), parsed)
+        with pytest.raises(ConfigurationError, match="not a span-columns file"):
+            load_profile_input(companion)
+        assert _unpickled == []
+
+    def test_npz_loads_directly(self, exported):
+        _view, companion, _fast, parsed = exported
+        direct = load_profile_input(companion)
+        assert _same_columns(direct, parsed)
+        assert (direct.provenance, direct.metrics) == (parsed.provenance, parsed.metrics)
+        assert direct.source == str(companion)
+
+    def test_non_finite_time_writes_no_companion(self, tmp_path):
+        path = tmp_path / "t.json"
+        tracer = SpanTracer()
+        tracer.add("a", "x", 0.0, 1.0, 0)
+        write_chrome_trace(path, tracer)
+        assert spans_companion(path).exists()
+        tracer.add("b", "x", 0.0, float("inf"), 0)
+        write_chrome_trace(path, tracer)  # the stale companion goes too
+        assert not spans_companion(path).exists()
+        with pytest.raises(ConfigurationError, match=r"t\.json: traceEvents\[3\]: float"):
+            load_profile_input(path)
+
+    def test_attrs_that_fit_the_lane_after_the_round_trip(self, tmp_path):
+        """An int subclass keeps a dict out of the typed lane; its JSON
+        text does not — both loads apply the lane rule of ``add``."""
+        one = enum.IntEnum("One", "ONE").ONE
+        tracer = SpanTracer()
+        tracer.add("xfer", "comm", 0.0, 1.0, 0, {"dst": one, "bytes": 8, "intra": True})
+        assert tracer.columns().extra  # not in the lane while live
+        view = write_chrome_trace(tmp_path / "t.json", tracer)
+        fast = loaders._load_spans_npz(spans_companion(view), view)
+        assert not fast.extra and fast.dst.tolist() == [1]
+        spans_companion(view).unlink()
+        assert _same_columns(fast, load_profile_input(view))
 
 
 class TestBuildProfile:

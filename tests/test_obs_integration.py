@@ -2,18 +2,14 @@
 and the trace-schema lint."""
 
 import json
-import sys
-from pathlib import Path
 
 import pytest
 
+from repro.analyze.checkers.trace_schema import check_trace
 from repro.core.config import BenchmarkConfig
 from repro.core.driver import simulate_run
 from repro.machine import get_machine
 from repro.obs import Observability, current, set_current, use
-
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "scripts"))
-from check_trace_schema import check_trace  # noqa: E402
 
 
 def _cfg(**kwargs):
@@ -171,6 +167,7 @@ class TestCli:
         assert rc == 0
         out = capsys.readouterr().out
         assert "spans" in out and "perfetto" in out
+        assert f"span columns -> {out_json}.spans.npz" in out
         doc = json.loads(out_json.read_text())
         assert check_trace(doc, require_layers=True) == []
         assert jsonl.exists()

@@ -26,14 +26,17 @@ from repro.model.perf_model import (
     estimate_run,
     iteration_columns,
 )
-from repro.obs.analysis import load_profile_input
+from repro.errors import ConfigurationError
+from repro.obs import Observability
+from repro.obs.analysis import load_profile_input, loaders
 from repro.obs.export import (
     dumps_strict,
+    spans_companion,
     to_chrome_trace,
     write_chrome_trace,
     write_jsonl,
 )
-from repro.obs.tracer import SpanTracer
+from repro.obs.tracer import FIELDS, SpanTracer
 from repro.simulate.phantom import PhantomArray
 
 members_lists = st.lists(
@@ -356,3 +359,75 @@ class TestSpanPipelineProperties:
                 else:
                     assert g.start == pytest.approx(w.start, rel=1e-12, abs=1e-12)
                     assert g.end == pytest.approx(w.end, rel=1e-12, abs=1e-12)
+
+
+#: a value an xfer-shaped attrs dict may carry that the typed lane rejects
+_lane_misfit = (
+    st.integers(-3, 2**70) | st.booleans() | st.floats() | st.text(max_size=2) | st.none()
+)
+_xfer_shaped = st.fixed_dictionaries(
+    {"dst": _lane_misfit, "bytes": _lane_misfit, "intra": _lane_misfit},
+    optional={"tag": _lane_misfit},
+)
+_mixed_spans = st.lists(
+    st.tuples(
+        st.sampled_from(["gemm", "xfer", "wait_recv", "πhase", 'q"uote']),
+        st.sampled_from(["executor", "comm", "engine", "driver", "health"]),
+        _finite, st.floats(0, 10, allow_nan=False), st.integers(-3, 12),
+        st.none() | _free_attrs | _xfer_attrs | _xfer_shaped,
+    ),
+    max_size=25,
+)
+
+#: what a loaded trace is, column by column
+_INPUT_ARRAYS = FIELDS + ("dur", "x_dst", "x_src", "x_tag", "x_bytes", "x_intra")
+
+
+def _loaded(load):
+    """``load()``'s input, or the ``ConfigurationError`` it raised."""
+    try:
+        return load()
+    except ConfigurationError as exc:
+        return exc
+
+
+def _assert_same_input(a, b):
+    """Two loads are one input: every column bit for bit and of one
+    dtype, intern tables in order, side table, metadata and source."""
+    for field in _INPUT_ARRAYS:
+        x, y = getattr(a, field), getattr(b, field)
+        assert (x.dtype, x.tobytes()) == (y.dtype, y.tobytes()), field
+    assert (a.names, a.cats, list(a.extra.items()), a.provenance, a.metrics, a.source) == (
+        b.names, b.cats, list(b.extra.items()), b.provenance, b.metrics, b.source)
+
+
+class TestSpanColumnsCompanion:
+    @given(
+        _mixed_spans, st.booleans(), st.none() | st.just(["comm", "engine", "health"]),
+        st.none() | st.lists(st.integers(-3, 12), max_size=4), st.none() | st.integers(1, 8),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_companion_loads_what_the_view_parses(self, rows, sort, cats, ranks, capacity):
+        """Whatever the span set, filters, order or ring: the companion
+        gives the columns the view parses to, and a view whose attrs do
+        not fold fails with the parse's located error either way."""
+        obs = Observability(capacity=capacity)
+        for name, cat, start, dur, rank, attrs in rows:
+            obs.tracer.add(name, cat, start, start + dur, rank, attrs)
+        obs.metrics.counter("spans.added").inc(len(rows))
+        obs.provenance = {"seed": 1, "x": float("nan")}
+        with tempfile.TemporaryDirectory() as tmp:
+            view = write_chrome_trace(
+                Path(tmp) / "t.json", obs, sort=sort, cats=cats, ranks=ranks)
+            companion = spans_companion(view)
+            assert companion.exists()
+            fast = _loaded(lambda: loaders._load_spans_npz(companion, view))
+            dispatched = _loaded(lambda: load_profile_input(view))
+            companion.unlink()
+            parsed = _loaded(lambda: load_profile_input(view))
+        if isinstance(parsed, ConfigurationError):
+            assert isinstance(fast, ConfigurationError)
+            assert str(dispatched) == str(parsed)
+        else:
+            _assert_same_input(fast, parsed)
+            _assert_same_input(dispatched, parsed)

@@ -9,7 +9,9 @@ objects.  They are sha256 of the canonically sorted Chrome trace, the
 sorted JSONL span log and the ``repro.obs.profile/v1`` document (built
 from the exported file and from the live tracer), so one reordered
 event, one float formatted differently or one reassociated sum fails
-here.
+here.  The profile of the exported file is built twice — from its
+``.spans.npz`` companion, then from the view's parse once the
+companion is deleted — and both must equal the one digest.
 
 Both runs export with a fixed ``provenance=`` block: the automatic one
 carries hostname, timestamp and argv.
@@ -20,6 +22,7 @@ import json
 import os
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
@@ -27,7 +30,8 @@ from repro.core.config import BenchmarkConfig
 from repro.core.driver import simulate_run
 from repro.machine import get_machine
 from repro.obs import Observability
-from repro.obs.analysis import build_profile, from_observability, load_profile_input
+from repro.obs.analysis import build_profile, from_observability, load_profile_input, loaders
+from repro.obs.export import spans_companion
 from repro.obs.health import HealthMonitor
 from repro.scenario import Scenario
 
@@ -86,12 +90,19 @@ def record(case: str) -> dict:
         try:
             obs.export_chrome_trace("trace.json", sort=True, provenance=provenance)
             obs.export_jsonl("spans.jsonl", sort=True)
+            # the first load must come from the span-columns companion ...
+            with mock.patch.object(loaders, "_fill_from_chrome",
+                                   side_effect=AssertionError("the view was parsed")):
+                from_columns = _profile_digest(load_profile_input("trace.json"))
+            # ... and the parse of the view must agree with it
+            spans_companion("trace.json").unlink()
             out = {
                 "chrome_trace": _sha256(Path("trace.json").read_text()),
                 "jsonl": _sha256(Path("spans.jsonl").read_text()),
                 "profile_from_file": _profile_digest(load_profile_input("trace.json")),
                 "profile_from_jsonl": _profile_digest(load_profile_input("spans.jsonl")),
             }
+            assert from_columns == out["profile_from_file"]
         finally:
             os.chdir(cwd)
     obs.provenance = provenance
