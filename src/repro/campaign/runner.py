@@ -25,14 +25,13 @@ from datetime import datetime, timezone
 from typing import Dict, Optional, Tuple
 
 from repro.campaign.jobs import RESULT_SCHEMA, Job
+from repro.machine import GcdFleet
+from repro.obs.provenance import code_version
+from repro.tools.campaign import run_campaign
 
 
 def execute_job(job_doc: dict, code: Optional[str] = None) -> dict:
     """Run one campaign job; returns the result row (deterministic body)."""
-    from repro.machine import GcdFleet
-    from repro.obs.provenance import code_version
-    from repro.tools.campaign import run_campaign
-
     t0 = time.perf_counter()
     job = Job.from_dict(job_doc)
     code = code or code_version()

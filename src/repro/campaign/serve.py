@@ -36,7 +36,12 @@ uses.  Non-stream ``POST /run`` responses carry an ``X-Repro-Source``
 header (``cache``/``joined``/``computed``).
 
 Errors are structured JSON (``{"error", "status", "path"}``) with
-conventional status codes.
+conventional status codes.  Requests are bounded: a body over
+:data:`MAX_BODY_BYTES` is refused with 413 before it is read, a
+non-integer or negative ``Content-Length`` gets 400, a connection idle
+for :attr:`_Handler.timeout` seconds is dropped, and an unexpected
+exception in a handler answers a structured 500 instead of dropping
+the connection.
 """
 
 from __future__ import annotations
@@ -54,6 +59,8 @@ from repro.campaign.jobs import Job
 from repro.campaign.runner import execute_job
 from repro.campaign.store import ResultStore
 from repro.errors import ConfigurationError
+from repro.machine import get_machine
+from repro.model.tuner import sweep_block_sizes
 from repro.obs import context as obs_context
 from repro.obs.export import to_prometheus_text
 from repro.obs.metrics import MetricsRegistry
@@ -62,6 +69,9 @@ SERVE_SCHEMA = "repro.campaign.serve/v1"
 
 #: a joined request waits at most this long for the computing request
 JOIN_TIMEOUT_S = 600.0
+
+#: largest request body read; a longer ``Content-Length`` is answered 413
+MAX_BODY_BYTES = 1 << 20
 
 
 def _count(event: str) -> None:
@@ -199,9 +209,6 @@ class CampaignService:
 
     def tune(self, body: dict) -> list:
         """Block-size sweep rows (the ``repro tune block`` workflow)."""
-        from repro.machine import get_machine
-        from repro.model.tuner import sweep_block_sizes
-
         machine = get_machine(str(body.get("machine", "frontier")))
         nl = int(body.get("nl", 0))
         grid = int(body.get("grid", 2))
@@ -266,8 +273,14 @@ def _run_seconds(row: dict) -> Dict[str, float]:
     return out
 
 
+class _BodyTooLarge(Exception):
+    """A ``Content-Length`` over :data:`MAX_BODY_BYTES` (answered 413)."""
+
+
 class _Handler(BaseHTTPRequestHandler):
     server_version = "repro-serve/1"
+    #: socket timeout (s): a client that stops sending cannot hold a thread
+    timeout = 30
 
     @property
     def service(self) -> CampaignService:
@@ -310,7 +323,17 @@ class _Handler(BaseHTTPRequestHandler):
         )
 
     def _read_body(self) -> dict:
-        length = int(self.headers.get("Content-Length") or 0)
+        header = self.headers.get("Content-Length") or "0"
+        try:
+            length = int(header)
+        except ValueError:
+            raise ValueError(f"Content-Length {header!r} is not an integer")
+        if length < 0:
+            raise ValueError(f"negative Content-Length {length}")
+        if length > MAX_BODY_BYTES:
+            raise _BodyTooLarge(
+                f"body of {length} bytes exceeds {MAX_BODY_BYTES}"
+            )
         raw = self.rfile.read(length) if length else b"{}"
         doc = json.loads(raw.decode() or "{}")
         if not isinstance(doc, dict):
@@ -334,6 +357,10 @@ class _Handler(BaseHTTPRequestHandler):
         t0 = time.perf_counter()
         try:
             dispatch()
+        except OSError:
+            raise  # socket errors and timeouts drop the connection
+        except Exception as exc:  # lint: ignore[hygiene] - request boundary: a handler bug answers 500
+            self._send_error_json(500, f"{type(exc).__name__}: {exc}")
         finally:
             self.service.request_finished(
                 self._endpoint(), self._status_sent,
@@ -370,6 +397,9 @@ class _Handler(BaseHTTPRequestHandler):
         url = urlparse(self.path)
         try:
             body = self._read_body()
+        except _BodyTooLarge as exc:
+            self._send_error_json(413, f"request body too large: {exc}")
+            return
         except (ValueError, ConfigurationError) as exc:
             self._send_error_json(400, f"bad request body: {exc}")
             return
@@ -409,7 +439,7 @@ class _Handler(BaseHTTPRequestHandler):
         try:
             row, source = self.service.execute(body, emit=emit)
             emit({"event": "result", "source": source, "result": row})
-        except (ConfigurationError, KeyError) as exc:
+        except Exception as exc:  # lint: ignore[hygiene] - the 200 is sent: an error travels as an event
             emit({"event": "error", "error": str(exc)})
 
 

@@ -1,10 +1,28 @@
-"""Queryable campaign result store (indexed JSONL).
+"""Queryable campaign result store (append-only JSONL log).
 
-One line per result row, indexed in memory by content-address key, with
-the whole file rewritten atomically on every put — the store's on-disk
-bytes are always a complete, loadable document, which is what lets the
-resume test demand *identical* store contents from an interrupted-then-
-resumed sweep and an uninterrupted one.
+One line per recorded row, indexed in memory by content-address key.
+:meth:`ResultStore.put` appends a single ``json.dumps(row,
+sort_keys=True)`` line in one ``os.write`` on an ``O_APPEND`` descriptor
+held under ``fcntl.flock(LOCK_EX)``, and fsyncs before the lock is
+released: one fsync per put, and recording a sweep costs time linear
+in the rows it adds.  A put of a row equal to the one already held
+under its key writes nothing, so re-running a sweep leaves the file's
+bytes unchanged.
+
+Loading replays the log: the last line per key wins.  A final line
+with no terminating newline is a torn append (a writer died mid-put);
+it is dropped with a warning naming ``path:line`` and the file is left
+as it is — readers never write.  The next put, under the lock, cuts the
+torn tail back to the last newline before appending, so a torn line
+never becomes a middle line.  Any other bad line raises
+:class:`~repro.errors.ConfigurationError` naming ``path:line``.
+Writers sharing one path (objects or processes) each keep every row
+they append; an object's in-memory view holds what it loaded plus what
+it put, so it sees another writer's rows only once reopened.
+
+``snapshot()`` equality is what lets the resume test demand *identical*
+store contents from an interrupted-then-resumed sweep and an
+uninterrupted one; ``export_document()`` is the sorted view.
 
 The store is queryable by the repo's existing delta machinery:
 :func:`compare_stores` joins two stores (or exported documents) on the
@@ -21,13 +39,15 @@ validation the ``campaign-store`` lint checker delegates to.
 
 from __future__ import annotations
 
+import fcntl
 import json
+import os
+import warnings
 from pathlib import Path
 from typing import Dict, List, Optional, Union
 
 from repro.campaign.jobs import RESULT_SCHEMA
 from repro.errors import ConfigurationError
-from repro.util.atomicio import atomic_write_text
 
 STORE_SCHEMA = "repro.campaign.store/v1"
 
@@ -90,7 +110,14 @@ class ResultStore:
             raise ConfigurationError(
                 f"cannot load campaign store {self.path}: {exc}"
             )
-        for i, line in enumerate(text.splitlines()):
+        lines = text.split("\n")
+        if lines[-1]:
+            warnings.warn(
+                f"{self.path}:{len(lines)}: dropping a torn final store "
+                "line (no newline); the next put truncates it",
+                stacklevel=3,
+            )
+        for i, line in enumerate(lines[:-1]):
             if not line.strip():
                 continue
             try:
@@ -109,22 +136,32 @@ class ResultStore:
 
     # -- mutation ---------------------------------------------------------
 
-    def put(self, row: dict, flush: bool = True) -> None:
-        """Insert/replace a row by key (validated), optionally persist."""
+    def put(self, row: dict) -> None:
+        """Insert/replace a row by key (validated): one fsync'd append.
+
+        Nothing is written when an equal row is already held under the
+        key.  A torn tail left by a writer that died is cut back to the
+        last newline under the lock before the line is appended.
+        """
         problems = check_result_row(row)
         if problems:
             raise ConfigurationError(f"invalid store row: {problems[0]}")
+        if self._rows.get(row["key"]) == row:
+            return
+        line = (json.dumps(row, sort_keys=True) + "\n").encode()
+        self.path.parent.mkdir(parents=True, exist_ok=True)
+        fd = os.open(self.path, os.O_RDWR | os.O_APPEND | os.O_CREAT, 0o666)
+        try:
+            fcntl.flock(fd, fcntl.LOCK_EX)
+            size = os.fstat(fd).st_size
+            if size and os.pread(fd, 1, size - 1) != b"\n":
+                os.ftruncate(fd, os.pread(fd, size, 0).rfind(b"\n") + 1)
+            if os.write(fd, line) != len(line):
+                raise OSError(f"short append to campaign store {self.path}")
+            os.fsync(fd)
+        finally:
+            os.close(fd)  # releases the flock
         self._rows[row["key"]] = row
-        if flush:
-            self.flush()
-
-    def flush(self) -> str:
-        """Atomically rewrite the JSONL file (rows in sorted-key order)."""
-        lines = [
-            json.dumps(self._rows[k], sort_keys=True)
-            for k in sorted(self._rows)
-        ]
-        return atomic_write_text(self.path, "\n".join(lines) + "\n")
 
     # -- queries ----------------------------------------------------------
 

@@ -10,6 +10,9 @@ The determinism pair the engine is built around:
 """
 
 import json
+import re
+import warnings
+from pathlib import Path
 
 import pytest
 
@@ -328,6 +331,153 @@ class TestStoreQueries:
         eng.run_sweep(_jobs()[:2], JobQueue(tmp_path / "q.json"), code=CODE)
         assert len(eng.store.rows(machine="frontier")) == 2
         assert eng.store.rows(machine="summit") == []
+
+
+@pytest.fixture(scope="module")
+def log_rows():
+    """Four valid rows under distinct keys (one computed, three copies)."""
+    base = execute_job(_job().to_dict(), code=CODE)
+    rows = []
+    for i in range(4):
+        row = json.loads(json.dumps(base))
+        row["key"] = f"{i:016x}"
+        rows.append(row)
+    return rows
+
+
+def _line(row):
+    return json.dumps(row, sort_keys=True) + "\n"
+
+
+class TestStoreLog:
+    """The store file is an append-only log: last line per key wins, a
+    torn final line is dropped on load and repaired by the next put."""
+
+    def test_put_appends_one_line_per_row(self, tmp_path, log_rows):
+        p = tmp_path / "sub" / "store.jsonl"
+        store = ResultStore(p)
+        for row in log_rows[:2]:
+            store.put(row)
+        assert p.read_text() == _line(log_rows[0]) + _line(log_rows[1])
+
+    def test_torn_final_line_dropped_then_repaired(self, tmp_path, log_rows):
+        p = tmp_path / "store.jsonl"
+        intact = _line(log_rows[0]) + _line(log_rows[1])
+        p.write_text(intact + _line(log_rows[2])[:40])
+        torn = p.read_bytes()
+        with pytest.warns(UserWarning, match=re.escape(f"{p}:3: dropping a torn")):
+            store = ResultStore(p)
+        assert store.keys() == [log_rows[0]["key"], log_rows[1]["key"]]
+        assert p.read_bytes() == torn  # readers never write
+        store.put(log_rows[3])
+        assert p.read_text() == intact + _line(log_rows[3])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert len(ResultStore(p)) == 3
+
+    def test_bad_middle_line_names_path_and_line(self, tmp_path, log_rows):
+        p = tmp_path / "store.jsonl"
+        p.write_text(_line(log_rows[0]) + "{not json\n" + _line(log_rows[1]))
+        with pytest.raises(ConfigurationError, match=re.escape(f"{p}:2: store row is not valid")):
+            ResultStore(p)
+        bad = dict(log_rows[1], exclusion_applied="yes")
+        p.write_text(_line(log_rows[0]) + _line(bad) + _line(log_rows[1]))
+        with pytest.raises(ConfigurationError, match=re.escape(f"{p}:2: ")):
+            ResultStore(p)
+
+    def test_key_written_twice_loads_its_last_row(self, tmp_path, log_rows):
+        p = tmp_path / "store.jsonl"
+        later = json.loads(json.dumps(log_rows[0]))
+        later["best"]["elapsed_s"] *= 2.0
+        p.write_text(_line(log_rows[0]) + _line(log_rows[1]) + _line(later))
+        store = ResultStore(p)
+        assert len(store) == 2
+        assert store.get(later["key"]) == later
+
+    def test_identical_put_appends_nothing(self, tmp_path, log_rows):
+        p = tmp_path / "store.jsonl"
+        ResultStore(p).put(log_rows[0])
+        before = p.read_bytes()
+        store = ResultStore(p)
+        store.put(json.loads(json.dumps(log_rows[0])))
+        store.put(log_rows[0])
+        assert p.read_bytes() == before
+
+    def test_parent_sorted_rewrite_loads_same_snapshot(self, tmp_path,
+                                                       log_rows):
+        # The whole-file rewrite format: rows in sorted-key order,
+        # newline-joined, one trailing newline.
+        p = tmp_path / "rewritten.jsonl"
+        p.write_text("".join(_line(r) for r in log_rows))
+        appended = ResultStore(tmp_path / "appended.jsonl")
+        for row in reversed(log_rows):
+            appended.put(row)
+        assert ResultStore(p).snapshot() == appended.snapshot()
+        before = p.read_bytes()
+        store = ResultStore(p)
+        for row in reversed(log_rows):
+            store.put(row)
+        assert p.read_bytes() == before
+
+    def test_two_stores_on_one_path_keep_every_row(self, tmp_path,
+                                                   log_rows):
+        p = tmp_path / "store.jsonl"
+        a, b = ResultStore(p), ResultStore(p)
+        a.put(log_rows[0])
+        b.put(log_rows[1])
+        a.put(log_rows[2])
+        b.put(log_rows[3])
+        assert ResultStore(p).keys() == sorted(r["key"] for r in log_rows)
+
+    def test_concurrent_processes_keep_every_row(self, tmp_path, log_rows):
+        # More writers than a small CI host has cores; each opens the
+        # store, then all append at once once every one has opened it,
+        # so a whole-file rewrite would keep only one writer's rows.
+        import os
+        import subprocess
+        import sys
+        import time
+
+        import repro
+
+        src = str(Path(repro.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [src, env.get("PYTHONPATH")]))
+        script = (
+            "import json, os, sys, time\n"
+            "from repro.campaign import ResultStore\n"
+            "store = ResultStore(sys.argv[1])\n"
+            "open(sys.argv[3], 'w').close()\n"
+            "while not os.path.exists(sys.argv[4]):\n"
+            "    time.sleep(0.005)\n"
+            "with open(sys.argv[2]) as fh:\n"
+            "    rows = json.load(fh)\n"
+            "for row in rows:\n"
+            "    store.put(row)\n"
+        )
+        p, go = tmp_path / "store.jsonl", tmp_path / "go"
+        procs, ready = [], []
+        for writer in range(4):
+            rows = []
+            for i in range(15):
+                row = json.loads(json.dumps(log_rows[0]))
+                row["key"] = f"{writer:08x}{i:08x}"
+                rows.append(row)
+            doc = tmp_path / f"rows{writer}.json"
+            doc.write_text(json.dumps(rows))
+            ready.append(tmp_path / f"ready{writer}")
+            procs.append(subprocess.Popen(
+                [sys.executable, "-c", script, str(p), str(doc),
+                 str(ready[-1]), str(go)], env=env))
+        deadline = time.monotonic() + 120
+        while (not all(r.exists() for r in ready)
+               and time.monotonic() < deadline):
+            time.sleep(0.01)
+        go.touch()
+        assert [proc.wait(timeout=120) for proc in procs] == [0] * 4
+        assert len(ResultStore(p)) == 60
+        assert len(p.read_text().splitlines()) == 60
 
 
 class TestLabelCollisions:

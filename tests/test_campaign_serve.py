@@ -1,15 +1,22 @@
 """Tests for ``repro serve``: HTTP endpoints, caching, and single-flight
 dedupe of identical concurrent requests."""
 
+import http.client
 import json
+import os
+import socket
+import subprocess
+import sys
 import threading
 import urllib.error
 import urllib.request
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.campaign import ResultStore, RunCache
-from repro.campaign.serve import CampaignService, make_server
+from repro.campaign.serve import MAX_BODY_BYTES, CampaignService, make_server
 
 JOB = {"machine": "frontier", "nl": 3072, "block": 768, "grid": 2,
        "bcast": "bcast", "num_runs": 1}
@@ -257,3 +264,79 @@ class TestSingleFlight:
             t.join()
         assert len(errors) == 3
         assert any("node fell over" in e for e in errors)
+
+
+def test_serve_imports_handler_dependencies_at_load():
+    # Handler threads must not race each other through first imports
+    # (a partially initialised repro.model.tuner failed /tune and /run).
+    src = str(Path(repro.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [src, env.get("PYTHONPATH")]))
+    code = (
+        "import sys, repro.campaign.serve\n"
+        "assert 'repro.model.tuner' in sys.modules\n"
+        "assert 'repro.tools.campaign' in sys.modules\n"
+    )
+    subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                   timeout=120)
+
+
+class TestBoundedRequests:
+    """Each request bound answers (or hangs up) within a short client
+    timeout instead of reading, blocking or dropping the connection."""
+
+    def _send(self, server, path, headers, body=b""):
+        host, port = server.server_address
+        conn = http.client.HTTPConnection(host, port, timeout=5)
+        try:
+            conn.putrequest("POST", path)
+            for name, value in headers.items():
+                conn.putheader(name, value)
+            conn.endheaders(body or None)
+            resp = conn.getresponse()
+            return resp.status, json.loads(resp.read())
+        finally:
+            conn.close()
+
+    def test_oversized_body_refused_before_reading(self, server):
+        # The body is never sent: a server that tried to read it would
+        # block past the client timeout.
+        status, doc = self._send(
+            server, "/run", {"Content-Length": str(MAX_BODY_BYTES + 1)})
+        assert status == 413
+        assert doc["status"] == 413 and doc["path"] == "/run"
+
+    @pytest.mark.parametrize("length", ["-1", "12abc", "1.5"])
+    def test_bad_content_length_is_400(self, server, length):
+        status, doc = self._send(server, "/tune", {"Content-Length": length})
+        assert status == 400 and "Content-Length" in doc["error"]
+
+    def test_missing_content_length_is_an_empty_body(self, server):
+        status, doc = self._send(server, "/tune", {})
+        assert status == 400 and "'nl'" in doc["error"]
+
+    def test_stalled_body_is_dropped_after_the_timeout(self, server,
+                                                      monkeypatch):
+        import repro.campaign.serve as serve_mod
+
+        assert serve_mod._Handler.timeout == 30
+        monkeypatch.setattr(serve_mod._Handler, "timeout", 0.2)
+        host, port = server.server_address
+        with socket.create_connection((host, port), timeout=5) as sock:
+            sock.sendall(b"POST /run HTTP/1.1\r\nHost: t\r\n"
+                         b"Content-Length: 100\r\n\r\n{")
+            assert sock.recv(1) == b""  # the server hung up
+
+    def test_handler_exception_answers_structured_500(self, server,
+                                                      monkeypatch):
+        def broken(_self, _body):
+            raise RuntimeError("tuner fell over")
+
+        monkeypatch.setattr(CampaignService, "tune", broken)
+        body = b"{}"
+        status, doc = self._send(
+            server, "/tune", {"Content-Length": str(len(body))}, body)
+        assert status == 500
+        assert doc == {"error": "RuntimeError: tuner fell over",
+                       "status": 500, "path": "/tune"}
