@@ -30,14 +30,11 @@ import numpy as np
 
 from repro.blas.shim import BlasShim
 from repro.errors import SanitizerError
-from repro.precision.types import FP16, FP32
+from repro.precision.types import FP16, FP16_MAX, FP32
 
 SANITIZE_ENV = "REPRO_SANITIZE"
 
 _TRUTHY = {"1", "true", "yes", "on"}
-
-#: largest finite FP16 magnitude (values above round to inf in the cast)
-_FP16_MAX = float(np.finfo(np.float16).max)
 
 
 def sanitize_enabled(env=None) -> bool:
@@ -76,13 +73,13 @@ class SanitizedBlasShim(BlasShim):
         if not isinstance(arr, np.ndarray) or arr.dtype == FP16.dtype:
             return
         self.checks_run += 1
-        overflow = np.abs(arr) > _FP16_MAX
+        overflow = np.abs(arr) > FP16_MAX
         if overflow.any():
             worst = float(np.max(np.abs(np.where(overflow, arr, 0.0))))
             raise SanitizerError(
                 f"sanitizer[{op}]: operand {name} has "
                 f"{int(overflow.sum())} value(s) above the FP16 max "
-                f"({_FP16_MAX:.0f}); largest is {worst:.6g} — the down-"
+                f"({FP16_MAX:.0f}); largest is {worst:.6g} — the down-"
                 "cast would silently produce inf"
             )
 

@@ -10,18 +10,17 @@ with HALF input and FLOAT compute types.  We emulate that contract by
 rounding the operands through FP16 and multiplying in FP32: each operand
 element carries one FP16 rounding, while products and sums are FP32,
 which matches tensor-core semantics at the granularity relevant to
-iterative-refinement convergence analysis.
+iterative-refinement convergence analysis.  Both conversions go through
+the codec of :mod:`repro.precision.fp16` (exact encoder, decode table).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.errors import ConfigurationError, PrecisionError
+from repro.errors import ConfigurationError
+from repro.precision.fp16 import to_fp16, widen_fp16
 from repro.precision.types import FP16, FP32
-
-#: largest finite FP16 magnitude; wider values round to ``inf`` in the cast
-FP16_MAX = float(np.finfo(np.float16).max)
 
 
 def _check_matmul_shapes(a: np.ndarray, b: np.ndarray) -> None:
@@ -47,38 +46,26 @@ def gemm(a: np.ndarray, b: np.ndarray, out_dtype=None) -> np.ndarray:
 def _to_fp16(x: np.ndarray, name: str) -> np.ndarray:
     """Round an operand to FP16, refusing to overflow silently.
 
-    A finite wide-precision value with magnitude above :data:`FP16_MAX`
-    would round to ``inf`` and poison the whole accumulation; consistent
-    with :meth:`repro.lcg.matrix.HplAiMatrix.check_fp16_safe`, we raise
-    instead.  Already-``inf``/``nan`` inputs pass through unchanged —
-    casting them is faithful, not an overflow.
+    Consistent with :meth:`repro.lcg.matrix.HplAiMatrix.check_fp16_safe`,
+    a finite value above the FP16 range raises :class:`PrecisionError`
+    instead of becoming ``inf``; FP16 operands pass through as they are.
     """
     if x.dtype == FP16.dtype:
         return x
-    finite_overflow = np.isfinite(x) & (np.abs(x) > FP16_MAX)
-    if finite_overflow.any():
-        worst = float(np.max(np.abs(np.where(finite_overflow, x, 0.0))))
-        raise PrecisionError(
-            f"gemm_mixed operand {name} has {int(finite_overflow.sum())} "
-            f"value(s) above the FP16 max ({FP16_MAX:.0f}); largest is "
-            f"{worst:.6g} — the FP16 cast would silently produce inf"
-        )
-    return x.astype(FP16.dtype)
+    return to_fp16(x, f"gemm_mixed operand {name} has")
 
 
 def gemm_mixed(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """FP16-operand, FP32-accumulate product of ``A @ B``.
 
-    Operands are rounded to FP16 if they are not already, then promoted
-    to FP32 for the multiply so that accumulation happens in single
-    precision (NumPy's matmul accumulates in the output dtype).  Finite
-    operand values beyond the FP16 range raise :class:`PrecisionError`
-    rather than silently becoming ``inf``.
+    Operands are rounded to FP16 if they are not already, then widened
+    to FP32 through the decode table so that accumulation happens in
+    single precision (NumPy's matmul accumulates in the output dtype).
+    Finite operand values beyond the FP16 range raise
+    :class:`PrecisionError` rather than silently becoming ``inf``.
     """
     _check_matmul_shapes(a, b)
-    a16 = _to_fp16(a, "A")
-    b16 = _to_fp16(b, "B")
-    return a16.astype(FP32.dtype) @ b16.astype(FP32.dtype)
+    return widen_fp16(_to_fp16(a, "A")) @ widen_fp16(_to_fp16(b, "B"))
 
 
 def gemm_update(c: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -410,19 +410,16 @@ class ExactExecutor(ExecutorBase):
         values, so the FP32 matmul *is* the bf16-in/FP32-accumulate
         contract.
         """
-        b_op = np.ascontiguousarray(bt.T)
         if self.cfg.panel_precision == "fp16":
-            self.shim.gemm_update(c, a, b_op)
+            self.shim.gemm_update(c, a, bt.T)
         else:
-            c -= a @ b_op
+            c -= a @ np.ascontiguousarray(bt.T)
 
     def trans_cast_u(self, k: int) -> Tuple[np.ndarray, float]:
         """Transpose + round the U panel to panel precision."""
         p = self.plan(k)
         row = slice(p.diag_r, p.diag_r + self.b)
-        u16t = self._panel_round(
-            np.ascontiguousarray(self.local[row, p.c1 :].T)
-        )
+        u16t = self._panel_round(self.local[row, p.c1 :].T)
         return u16t, self._t_cast(p.trail_cols, self.b)
 
     def trsm_col_panel(self, k: int, diag: np.ndarray) -> float:

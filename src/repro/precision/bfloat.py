@@ -17,17 +17,17 @@ an FP32 whose low 16 mantissa bits are zero.  :func:`round_to_bf16`
 performs IEEE round-to-nearest-even truncation on FP32 arrays; values
 stay in FP32 containers (numerics identical to hardware bf16, storage
 doubled — irrelevant for the timing model, which charges logical sizes).
+:func:`cast_panel` dispatches a panel to it or to the FP16 codec
+(:mod:`repro.precision.fp16`).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.errors import ConfigurationError, PrecisionError
+from repro.errors import ConfigurationError
+from repro.precision.fp16 import to_fp16
 from repro.precision.types import Precision
-
-#: largest finite FP16 magnitude; wider finite values round to ``inf``
-_FP16_MAX = float(np.finfo(np.float16).max)
 
 #: Descriptor for emulated bfloat16 (stored in float32 containers; the
 #: ``bytes`` field is the *logical* wire size used by cost models).
@@ -66,23 +66,15 @@ def round_to_bf16(x: np.ndarray) -> np.ndarray:
 def cast_panel(x: np.ndarray, precision: str) -> np.ndarray:
     """Round a panel to the requested storage precision.
 
-    ``"fp16"`` returns a float16 array; ``"bf16"`` returns a float32
+    ``"fp16"`` returns a C-contiguous float16 array, encoded by
+    :func:`repro.precision.fp16.to_fp16`; ``"bf16"`` returns a float32
     array holding bf16-representable values.  Finite values beyond the
     FP16 range raise :class:`PrecisionError` instead of silently
     rounding to ``inf`` (the same contract as ``gemm_mixed``; bf16
     shares FP32's exponent range, so only the fp16 path can overflow).
     """
     if precision == "fp16":
-        a = np.asarray(x)
-        finite_overflow = np.isfinite(a) & (np.abs(a) > _FP16_MAX)
-        if finite_overflow.any():
-            worst = float(np.max(np.abs(np.where(finite_overflow, a, 0.0))))
-            raise PrecisionError(
-                f"cast_panel: {int(finite_overflow.sum())} value(s) above "
-                f"the FP16 max ({_FP16_MAX:.0f}); largest is {worst:.6g} — "
-                "the FP16 cast would silently produce inf"
-            )
-        return np.ascontiguousarray(a, dtype=np.float16)
+        return to_fp16(x, "cast_panel:")
     if precision == "bf16":
         return round_to_bf16(x)
     raise ConfigurationError(

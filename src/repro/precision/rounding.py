@@ -4,15 +4,17 @@ After the panel TRSMs, the L panel is converted to FP16 (``CAST``) and
 the U panel is *"conveniently transposed and cast simultaneously"*
 (``TRANS_CAST``) so that the trailing GEMM sees both operands in the
 layout the tensor cores want.  These are memory-bandwidth-bound
-operations; their timing model lives in :mod:`repro.machine.kernels`,
-while the numerics live here.
+operations; their timing model lives in :mod:`repro.machine.kernels`.
+FP16 targets go through the guarded codec of :mod:`repro.precision.fp16`
+(a finite value above the FP16 range raises ``PrecisionError``).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.precision.types import Precision, precision_of
+from repro.precision.fp16 import to_fp16
+from repro.precision.types import FP16, Precision, precision_of
 
 
 def round_to(x: np.ndarray, precision) -> np.ndarray:
@@ -24,7 +26,10 @@ def round_to(x: np.ndarray, precision) -> np.ndarray:
     ``a64``.
     """
     prec = precision_of(precision)
-    return np.asarray(x).astype(prec.dtype).astype(np.asarray(x).dtype)
+    a = np.asarray(x)
+    if prec is FP16:
+        return to_fp16(a, "round_to:").reshape(a.shape).astype(a.dtype)
+    return a.astype(prec.dtype).astype(a.dtype)
 
 
 def cast(x: np.ndarray, precision) -> np.ndarray:
@@ -34,6 +39,8 @@ def cast(x: np.ndarray, precision) -> np.ndarray:
     separate FP16 panel buffer rather than converting in place).
     """
     prec = precision_of(precision)
+    if prec is FP16:
+        return to_fp16(x, "cast:")
     return np.ascontiguousarray(np.asarray(x), dtype=prec.dtype)
 
 
@@ -43,6 +50,8 @@ def trans_cast(x: np.ndarray, precision) -> np.ndarray:
     Returns a C-contiguous array of shape ``x.T.shape`` in ``precision``.
     """
     prec = precision_of(precision)
+    if prec is FP16:
+        return to_fp16(np.asarray(x).T, "trans_cast:")
     return np.ascontiguousarray(np.asarray(x).T, dtype=prec.dtype)
 
 

@@ -64,6 +64,9 @@ FP32 = _from_dtype("fp32", np.float32)
 #: IEEE binary64 — matrix generation, residuals and refinement.
 FP64 = _from_dtype("fp64", np.float64)
 
+#: largest finite FP16 magnitude; wider finite values round to ``inf``
+FP16_MAX = FP16.max
+
 _BY_NAME = {p.name: p for p in (FP16, FP32, FP64)}
 _BY_DTYPE = {p.dtype: p for p in (FP16, FP32, FP64)}
 

@@ -131,6 +131,15 @@ class TestSolveContracts:
         assert shim.checks_run == before
 
 
+#: per-rank sanitizer assertions / vendor calls of the n=128, B=16, 2x2
+#: exact solve, and sha256 of every rank's (vendor, op, shape) list
+PINNED_CHECKS_RUN = [258, 209, 209, 270]
+PINNED_CALL_COUNTS = [84, 66, 66, 87]
+PINNED_CALLS_SHA256 = (
+    "e1283b4bd78dfe81f92b1797388cf29d1fd9975ffd2f6d2e93205a3872c7fe18"
+)
+
+
 class TestEndToEndUnderSanitizer:
     def test_small_hplai_solve_stays_clean(self, monkeypatch):
         # The whole mixed-precision pipeline honours the contracts: a
@@ -140,6 +149,29 @@ class TestEndToEndUnderSanitizer:
 
         res = solve_hplai(n=64, block=16, p_rows=2, p_cols=2)
         assert res.ir_converged
+
+    def test_sanitizer_sees_every_shim_entry(self, monkeypatch):
+        # A fixed 2x2 exact solve: every rank's sanitized shim must run
+        # the same assertions and record the same vendor calls whatever
+        # path the panels take to and from FP16.  Pinned from the solve
+        # that widened through NumPy's own casts.
+        import hashlib
+
+        import repro.core.executors as executors
+        from repro.core.driver import solve_hplai
+
+        shims = []
+
+        def recording_shim(platform):
+            shims.append(SanitizedBlasShim(platform, record_calls=True))
+            return shims[-1]
+
+        monkeypatch.setattr(executors, "get_shim", recording_shim)
+        assert solve_hplai(n=128, block=16, p_rows=2, p_cols=2).ir_converged
+        calls = [(c.vendor_name, c.op, c.shape) for s in shims for c in s.calls]
+        assert [s.checks_run for s in shims] == PINNED_CHECKS_RUN
+        assert [len(s.calls) for s in shims] == PINNED_CALL_COUNTS
+        assert hashlib.sha256(repr(calls).encode()).hexdigest() == PINNED_CALLS_SHA256
 
 
 def _dispatch_ops():
