@@ -1,4 +1,4 @@
-"""Implementation of the ``repro lint`` subcommand.
+"""The ``repro lint`` subcommand, plus the ``verify-comm`` parser.
 
 Kept out of :mod:`repro.cli` so the top-level CLI module stays a thin
 argparse surface; exit codes follow the usual linter convention:
@@ -14,8 +14,8 @@ import json
 import sys
 from pathlib import Path
 
-from repro.analyze.checkers import all_checkers
 from repro.analyze.framework import Baseline, run_analysis
+from repro.broadcasts import BCAST_NAMES
 
 #: baseline used when ``--baseline`` is not given and the file exists
 DEFAULT_BASELINE = ".lint-baseline.json"
@@ -54,6 +54,50 @@ def add_lint_parser(sub) -> None:
     p.add_argument("--require-layers", action="store_true",
                    help="trace-schema: require engine/executor/comm spans")
     p.set_defaults(func=cmd_lint)
+
+
+def add_verify_comm_parser(sub) -> None:
+    """Register the ``verify-comm`` subparser; the proofs live in
+    :mod:`repro.analyze.schedule.cli`."""
+    p = sub.add_parser(
+        "verify-comm",
+        help="prove the communication schedule deadlock- and race-free",
+    )
+    # every process grid up to 16 ranks exercising distinct topology
+    # shapes: degenerate rows/columns, square, rectangular, odd
+    p.add_argument("--grids", default="1x2,2x1,2x2,2x4,4x2,3x3,4x4",
+                   help="comma-separated RxC grids (default %(default)s)")
+    p.add_argument("--bcasts", default=",".join(BCAST_NAMES),
+                   help="broadcast algorithms to prove (default %(default)s)")
+    p.add_argument("--modes", default="routed,inband",
+                   help="progression modes: routed (look-ahead) and/or "
+                   "inband (default both)")
+    p.add_argument("--programs", default="hplai,hpl",
+                   help="rank programs: hplai (phantom control flow) "
+                   "and/or hpl (exact pivoted LU; default both)")
+    p.add_argument("-b", "--block", type=int, default=32,
+                   help="panel width for the hplai proofs (default 32)")
+    p.add_argument("--trace", action="append", default=None, metavar="FILE",
+                   help="check a recorded trace against the static model "
+                   "(repeatable; skips the proof matrix unless --matrix)")
+    p.add_argument("--fixture", action="append", default=None, metavar="NAME",
+                   help="re-prove a known-bad fixture schedule (expects "
+                   "failure; 'all' runs every fixture; skips the proof "
+                   "matrix unless --matrix)")
+    p.add_argument("--matrix", action="store_true",
+                   help="run the proof matrix even when --trace/--fixture "
+                   "are given")
+    p.add_argument("--format", choices=("text", "json"), default="text",
+                   help="report format (default text)")
+    p.add_argument("--out", default=None,
+                   help="also write the JSON report to a file")
+    p.set_defaults(func=_verify_comm)
+
+
+def _verify_comm(args) -> int:
+    from repro.analyze.schedule.cli import cmd_verify_comm
+
+    return cmd_verify_comm(args)
 
 
 def _changed_files(paths):
@@ -107,6 +151,8 @@ def _resolve_baseline(args):
 
 def cmd_lint(args) -> int:
     """Run the analysis suite; see module docstring for exit codes."""
+    from repro.analyze.checkers import all_checkers
+
     checkers = all_checkers(require_layers=args.require_layers)
     if args.list_checkers:
         for c in checkers:

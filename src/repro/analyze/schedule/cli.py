@@ -23,51 +23,8 @@ from typing import List
 from repro.analyze.schedule.extract import ScheduleCase, extract_case
 from repro.analyze.schedule.hb import analyze_schedule
 
-#: every process grid up to 16 ranks exercising distinct topology
-#: shapes: degenerate rows/columns, square, rectangular, odd
-DEFAULT_GRIDS = "1x2,2x1,2x2,2x4,4x2,3x3,4x4"
-DEFAULT_BCASTS = "bcast,ibcast,ring1,ring1m,ring2m"
-DEFAULT_MODES = "routed,inband"
-DEFAULT_PROGRAMS = "hplai,hpl"
-
 #: the FP64 HPL proof shape: small enough to factor exactly, pivoting
 _HPL_N, _HPL_BLOCK = 64, 8
-
-
-def add_verify_comm_parser(sub) -> None:
-    """Register the ``verify-comm`` subparser."""
-    p = sub.add_parser(
-        "verify-comm",
-        help="prove the communication schedule deadlock- and race-free",
-    )
-    p.add_argument("--grids", default=DEFAULT_GRIDS,
-                   help=f"comma-separated RxC grids (default {DEFAULT_GRIDS})")
-    p.add_argument("--bcasts", default=DEFAULT_BCASTS,
-                   help="broadcast algorithms to prove "
-                   f"(default {DEFAULT_BCASTS})")
-    p.add_argument("--modes", default=DEFAULT_MODES,
-                   help="progression modes: routed (look-ahead) and/or "
-                   "inband (default both)")
-    p.add_argument("--programs", default=DEFAULT_PROGRAMS,
-                   help="rank programs: hplai (phantom control flow) "
-                   "and/or hpl (exact pivoted LU; default both)")
-    p.add_argument("-b", "--block", type=int, default=32,
-                   help="panel width for the hplai proofs (default 32)")
-    p.add_argument("--trace", action="append", default=None, metavar="FILE",
-                   help="check a recorded trace against the static model "
-                   "(repeatable; skips the proof matrix unless --matrix)")
-    p.add_argument("--fixture", action="append", default=None, metavar="NAME",
-                   help="re-prove a known-bad fixture schedule (expects "
-                   "failure; 'all' runs every fixture; skips the proof "
-                   "matrix unless --matrix)")
-    p.add_argument("--matrix", action="store_true",
-                   help="run the proof matrix even when --trace/--fixture "
-                   "are given")
-    p.add_argument("--format", choices=("text", "json"), default="text",
-                   help="report format (default text)")
-    p.add_argument("--out", default=None,
-                   help="also write the JSON report to a file")
-    p.set_defaults(func=cmd_verify_comm)
 
 
 def _parse_grids(spec: str) -> List[tuple]:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Sequence
 
+from repro.broadcasts import BCAST_NAMES
 from repro.core.config import BenchmarkConfig
 from repro.core.hpl import hpl_gflops_per_gcd
 from repro.machine import FRONTIER, SUMMIT, GcdFleet
@@ -31,8 +32,6 @@ FRONTIER_ACHIEVEMENT = dict(
     machine=FRONTIER, n=FRONTIER_NL * 172, block=3072, p_rows=172, p_cols=172,
     q_rows=4, q_cols=2, bcast_algorithm="ring2m",
 )
-
-ALGORITHMS = ("bcast", "ibcast", "ring1", "ring1m", "ring2m")
 
 
 def _node_grids(machine: MachineSpec) -> List[tuple]:
@@ -186,7 +185,7 @@ def fig4_blocksize_total() -> List[Dict[str, object]]:
 
 
 def fig8_comm_strategies(
-    algorithms: Sequence[str] = ALGORITHMS,
+    algorithms: Sequence[str] = BCAST_NAMES,
 ) -> List[Dict[str, object]]:
     """GFLOPS/GCD for every broadcast strategy and node-local grid.
 
@@ -222,7 +221,7 @@ def fig8_comm_strategies(
 def fig8_finding5_port_binding() -> List[Dict[str, object]]:
     """Finding 5: port binding on Summit (35.6-59.7% improvement)."""
     out = []
-    for algo in ALGORITHMS:
+    for algo in BCAST_NAMES:
         res = {}
         for bound in (True, False):
             cfg = BenchmarkConfig(
@@ -245,7 +244,7 @@ def fig8_finding5_port_binding() -> List[Dict[str, object]]:
 def fig8_finding7_gpu_aware() -> List[Dict[str, object]]:
     """Finding 7: GPU-aware MPI on Frontier (40.3-56.6% improvement)."""
     out = []
-    for algo in ALGORITHMS:
+    for algo in BCAST_NAMES:
         res = {}
         for aware in (True, False):
             cfg = BenchmarkConfig(

@@ -15,7 +15,6 @@ HPL-AI).
 from __future__ import annotations
 
 import numpy as np
-import scipy.linalg as sla
 
 from repro.errors import ConfigurationError
 
@@ -34,6 +33,8 @@ def _check(t: np.ndarray, b: np.ndarray, side: str) -> None:
 
 def trsm_left_lower(t: np.ndarray, b: np.ndarray, unit: bool = True) -> np.ndarray:
     """Solve ``T X = B`` with T (unit) lower triangular; the U-panel solve."""
+    import scipy.linalg as sla
+
     _check(t, b, "left")
     return sla.solve_triangular(t, b, lower=True, unit_diagonal=unit).astype(
         b.dtype, copy=False
@@ -42,6 +43,8 @@ def trsm_left_lower(t: np.ndarray, b: np.ndarray, unit: bool = True) -> np.ndarr
 
 def trsm_left_upper(t: np.ndarray, b: np.ndarray, unit: bool = False) -> np.ndarray:
     """Solve ``T X = B`` with T upper triangular."""
+    import scipy.linalg as sla
+
     _check(t, b, "left")
     return sla.solve_triangular(t, b, lower=False, unit_diagonal=unit).astype(
         b.dtype, copy=False
@@ -53,6 +56,8 @@ def trsm_right_upper(t: np.ndarray, b: np.ndarray, unit: bool = False) -> np.nda
 
     Implemented as the transposed left-side solve ``T^T X^T = B^T``.
     """
+    import scipy.linalg as sla
+
     _check(t, b, "right")
     x_t = sla.solve_triangular(t.T, b.T, lower=True, unit_diagonal=unit)
     return np.ascontiguousarray(x_t.T, dtype=b.dtype)
@@ -60,6 +65,8 @@ def trsm_right_upper(t: np.ndarray, b: np.ndarray, unit: bool = False) -> np.nda
 
 def trsm_right_lower(t: np.ndarray, b: np.ndarray, unit: bool = True) -> np.ndarray:
     """Solve ``X T = B`` with T (unit) lower triangular."""
+    import scipy.linalg as sla
+
     _check(t, b, "right")
     x_t = sla.solve_triangular(t.T, b.T, lower=False, unit_diagonal=unit)
     return np.ascontiguousarray(x_t.T, dtype=b.dtype)

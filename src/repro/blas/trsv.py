@@ -11,7 +11,6 @@ dtype they pass in.
 from __future__ import annotations
 
 import numpy as np
-import scipy.linalg as sla
 
 from repro.errors import ConfigurationError
 
@@ -27,6 +26,8 @@ def _check(t: np.ndarray, x: np.ndarray) -> None:
 
 def trsv_lower_unit(t: np.ndarray, x: np.ndarray) -> np.ndarray:
     """``TRSV_LOW``: solve ``L y = x`` with L unit lower triangular."""
+    import scipy.linalg as sla
+
     _check(t, x)
     return sla.solve_triangular(t, x, lower=True, unit_diagonal=True).astype(
         x.dtype, copy=False
@@ -35,6 +36,8 @@ def trsv_lower_unit(t: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 def trsv_upper(t: np.ndarray, x: np.ndarray) -> np.ndarray:
     """``TRSV_UP``: solve ``U y = x`` with U upper triangular (non-unit)."""
+    import scipy.linalg as sla
+
     _check(t, x)
     return sla.solve_triangular(t, x, lower=False, unit_diagonal=False).astype(
         x.dtype, copy=False

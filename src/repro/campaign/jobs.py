@@ -29,6 +29,7 @@ from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.errors import ConfigurationError
+from repro.scenario import Scenario
 
 SWEEP_SCHEMA = "repro.campaign.sweep/v1"
 RESULT_SCHEMA = "repro.campaign.result/v1"
@@ -48,8 +49,6 @@ def _resolve_scenario(raw) -> Optional[dict]:
     scenario DSL so malformed axes fail at sweep-build time, not in a
     worker.
     """
-    from repro.scenario import Scenario
-
     if raw is None or raw in ("", "none", "baseline"):
         return None
     if isinstance(raw, str):
@@ -189,8 +188,6 @@ class Job:
         """The inline scenario as a :class:`~repro.scenario.Scenario`."""
         if self.scenario is None:
             return None
-        from repro.scenario import Scenario
-
         return Scenario.from_dict(self.scenario)
 
 

@@ -50,16 +50,28 @@ class JobQueue:
                 f"{self.path} is not a campaign queue checkpoint "
                 f"(expected schema {QUEUE_SCHEMA!r})"
             )
-        for entry in doc.get("jobs", []):
+        jobs = doc.get("jobs", [])
+        if not isinstance(jobs, list):
+            raise ConfigurationError(
+                f"{self.path}: 'jobs' must be a list, got "
+                f"{type(jobs).__name__}"
+            )
+        for index, entry in enumerate(jobs):
+            if not isinstance(entry, dict):
+                raise ConfigurationError(
+                    f"{self.path}: queue entry {index} must be an object, "
+                    f"got {type(entry).__name__}"
+                )
             key = entry.get("key")
             status = entry.get("status", "pending")
-            if not key or status not in _STATUSES:
+            job = entry.get("job", {})
+            if (not key or not isinstance(key, str)
+                    or status not in _STATUSES or not isinstance(job, dict)):
                 raise ConfigurationError(
-                    f"{self.path}: malformed queue entry {entry!r}"
+                    f"{self.path}: malformed queue entry {index}: {entry!r}"
                 )
             self._jobs[key] = {
-                "key": key, "status": status,
-                "job": entry.get("job") or {},
+                "key": key, "status": status, "job": job,
                 "error": entry.get("error", ""),
             }
 

@@ -40,6 +40,7 @@ import sys
 from typing import List, Optional
 
 from repro._version import __version__
+from repro.broadcasts import BCAST_NAMES
 
 
 def _add_machine_arg(p: argparse.ArgumentParser) -> None:
@@ -60,7 +61,7 @@ def _add_run_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--qr", type=int, default=None, help="node-local grid rows")
     p.add_argument("--qc", type=int, default=None, help="node-local grid cols")
     p.add_argument("--bcast", default=None,
-                   choices=("bcast", "ibcast", "ring1", "ring1m", "ring2m"),
+                   choices=BCAST_NAMES,
                    help="panel broadcast algorithm (default: machine best)")
     p.add_argument("--no-lookahead", action="store_true")
     p.add_argument("--no-gpu-aware", action="store_true")
@@ -916,8 +917,11 @@ def cmd_report(args) -> int:
 
 def cmd_bench(args) -> int:
     """Run the hot-path benchmark harness; optionally gate vs a baseline."""
-    from repro.bench.hotpaths import load_record, render_hotpaths, run_hotpaths
+    from repro.bench.hotpaths import (
+        DEFAULT_OUT, load_record, render_hotpaths, run_hotpaths,
+    )
 
+    out = DEFAULT_OUT if args.out is None else args.out
     # Load the baseline before running: --against may name the same file
     # --out is about to overwrite.
     baseline = load_record(args.against) if args.against else None
@@ -926,11 +930,11 @@ def cmd_bench(args) -> int:
         return 2
     record = run_hotpaths(
         n=args.n, block=args.block, grid=args.grid, reps=args.reps,
-        seed=args.seed, machine=args.machine, out=args.out,
+        seed=args.seed, machine=args.machine, out=out,
     )
     print(render_hotpaths(record))
-    if args.out:
-        print(f"wrote {args.out}")
+    if out:
+        print(f"wrote {out}")
     if baseline is None:
         return 0
 
@@ -1244,11 +1248,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--reps", type=int, default=3,
                    help="repetitions per stage (default 3)")
     p.add_argument("--seed", type=int, default=42)
-    from repro.bench.hotpaths import DEFAULT_OUT as _BENCH_OUT
-
-    p.add_argument("--out", default=_BENCH_OUT,
-                   help=f"JSON record path ('' to skip writing; "
-                        f"default {_BENCH_OUT})")
+    p.add_argument("--out", default=None,
+                   help="JSON record path ('' to skip writing; default "
+                        "benchmarks/results/BENCH_hotpaths.json)")
     p.add_argument("--against", default=None, metavar="RECORD_JSON",
                    help="baseline hotpaths record to gate against")
     p.add_argument("--max-regress", type=float, default=0.25,
@@ -1257,8 +1259,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_machine_arg(p)
     p.set_defaults(func=cmd_bench)
 
-    from repro.analyze.cli import add_lint_parser
-    from repro.analyze.schedule.cli import add_verify_comm_parser
+    from repro.analyze.cli import add_lint_parser, add_verify_comm_parser
 
     add_lint_parser(sub)
     add_verify_comm_parser(sub)

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from typing import List, Sequence, Tuple
 
+from repro.broadcasts import BCAST_NAMES
 from repro.errors import CommunicationError
 from repro.simulate.events import RouteSend, RouteSpec
 
@@ -131,24 +132,23 @@ def route_ring2m(root: int, members: Sequence[int], segments: int = 8) -> RouteS
     return RouteSpec(root=root, edges=tuple(edges), segments=max(1, segments))
 
 
-ROUTE_BUILDERS = {
-    # Library trees may be SMP-aware (use node locality) and internally
-    # pipelined; rings follow the member (process row/column) order, so
-    # their node-crossing pattern is determined by the node-local grid —
-    # the paper's tuning knob.
-    "bcast": lambda root, members, segments=1, node_of=None: route_tree(
-        root, members, node_of, segments
-    ),
-    "ibcast": lambda root, members, segments=1, node_of=None: route_tree(
-        root, members, node_of, segments
-    ),
-    "ring1": lambda root, members, segments=8, node_of=None: route_ring1(
-        root, members, segments
-    ),
-    "ring1m": lambda root, members, segments=8, node_of=None: route_ring1m(
-        root, members, segments
-    ),
-    "ring2m": lambda root, members, segments=8, node_of=None: route_ring2m(
-        root, members, segments
-    ),
-}
+def _tree_route(root, members, segments=1, node_of=None) -> RouteSpec:
+    return route_tree(root, members, node_of, segments)
+
+
+def _ring_route(route_ring):
+    def build(root, members, segments=8, node_of=None) -> RouteSpec:
+        return route_ring(root, members, segments)
+
+    return build
+
+
+# Library trees may be SMP-aware (use node locality) and internally
+# pipelined; rings follow the member (process row/column) order, so
+# their node-crossing pattern is determined by the node-local grid —
+# the paper's tuning knob.
+ROUTE_BUILDERS = dict(zip(
+    BCAST_NAMES,
+    (_tree_route, _tree_route, _ring_route(route_ring1),
+     _ring_route(route_ring1m), _ring_route(route_ring2m)),
+))

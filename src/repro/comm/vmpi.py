@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from typing import Any, Callable, Dict, Sequence
 
+from repro.broadcasts import BCAST_NAMES
 from repro.comm.bcast import TAG_STRIDE, bcast_tree, ibcast_tree
 from repro.comm.ring import bcast_ring1, bcast_ring1m, bcast_ring2m
 from repro.comm.route import ROUTE_BUILDERS, RouteSend
@@ -43,13 +44,10 @@ from repro.simulate.events import (
     Wait,
 )
 
-BCAST_ALGORITHMS: Dict[str, Callable] = {
-    "bcast": bcast_tree,
-    "ibcast": ibcast_tree,
-    "ring1": bcast_ring1,
-    "ring1m": bcast_ring1m,
-    "ring2m": bcast_ring2m,
-}
+BCAST_ALGORITHMS: Dict[str, Callable] = dict(zip(
+    BCAST_NAMES,
+    (bcast_tree, ibcast_tree, bcast_ring1, bcast_ring1m, bcast_ring2m),
+))
 
 
 class RankComm:

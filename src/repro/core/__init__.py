@@ -5,22 +5,5 @@ right-looking block LU factorization in FP16/FP32 with look-ahead, and
 the FP64 iterative refinement with on-the-fly matrix regeneration — as
 engine-agnostic rank programs, plus the exact (real-data) and phantom
 (timing-only) executors they run against, and the top-level drivers.
+The package imports nothing, so pricing a config loads none of them.
 """
-
-from repro.core.config import BenchmarkConfig
-from repro.core.driver import RunResult, simulate_run, solve_hplai
-from repro.core.hpl import hpl_solve_fp64, hpl_time_model
-from repro.core.hpl_dist import solve_hpl_distributed
-from repro.core.report import run_report, save_report
-
-__all__ = [
-    "BenchmarkConfig",
-    "RunResult",
-    "simulate_run",
-    "solve_hplai",
-    "hpl_solve_fp64",
-    "hpl_time_model",
-    "solve_hpl_distributed",
-    "run_report",
-    "save_report",
-]

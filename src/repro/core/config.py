@@ -6,7 +6,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from repro.comm.vmpi import BCAST_ALGORITHMS
+from repro.broadcasts import BCAST_NAMES
 from repro.errors import ConfigurationError
 from repro.grid.block_cyclic import BlockCyclicDim
 from repro.grid.node_grid import NodeGrid
@@ -38,7 +38,7 @@ class BenchmarkConfig:
         Node-local grid; defaults to column-major placement
         (``Q_r = gcds_per_node, Q_c = 1``).
     bcast_algorithm:
-        Panel broadcast strategy: bcast / ibcast / ring1 / ring1m / ring2m.
+        Panel broadcast strategy, one of :data:`repro.broadcasts.BCAST_NAMES`.
     lookahead:
         Overlap next-iteration panel work with the trailing GEMM.
     gpu_aware / port_binding:
@@ -97,13 +97,13 @@ class BenchmarkConfig:
     def __post_init__(self) -> None:
         check_positive_int(self.n, "n")
         check_positive_int(self.block, "block")
-        if self.bcast_algorithm not in BCAST_ALGORITHMS:
+        if self.bcast_algorithm not in BCAST_NAMES:
             raise ConfigurationError(
                 f"unknown bcast algorithm {self.bcast_algorithm!r}"
             )
         if self.diag_algorithm is None:
             self.diag_algorithm = self.bcast_algorithm
-        if self.diag_algorithm not in BCAST_ALGORITHMS:
+        if self.diag_algorithm not in BCAST_NAMES:
             raise ConfigurationError(
                 f"unknown diag algorithm {self.diag_algorithm!r}"
             )

@@ -28,7 +28,6 @@ from functools import partial
 from typing import List, Tuple
 
 import numpy as np
-import scipy.linalg as sla
 
 from repro.core.config import BenchmarkConfig
 from repro.core.driver import _run_ranks
@@ -188,6 +187,8 @@ class HplExecutor(ExactExecutor):
 
     def trsm_row_panel(self, k: int, diag: np.ndarray) -> float:
         """U panel: solve L11 X = A12 on the pivot row."""
+        import scipy.linalg as sla
+
         plan = self.plan(k)
         if plan.trail_cols == 0:
             return 0.0

@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List
 
 import numpy as np
+from numpy.random import default_rng
 
 from repro.errors import ConfigurationError
 from repro.util.validation import check_positive_int
@@ -60,7 +61,7 @@ class GcdFleet:
             raise ConfigurationError(
                 f"slow_fraction must be in [0, 1), got {self.slow_fraction}"
             )
-        rng = np.random.default_rng(self.seed)
+        rng = default_rng(self.seed)
         # Baseline: every GCD loses a small one-sided amount.
         mult = 1.0 - np.abs(rng.normal(0.0, self.sigma, self.num_gcds))
         # Outliers: a few GCDs lose up to slow_penalty.
@@ -147,7 +148,7 @@ class WarmupModel:
         """Speed multiplier for the ``run_index``-th consecutive run (0-based)."""
         if run_index < 0:
             raise ConfigurationError(f"run_index must be >= 0, got {run_index}")
-        rng = np.random.default_rng(self.seed + run_index)
+        rng = default_rng(self.seed + run_index)
         jitter = rng.uniform(-self.steady_jitter, self.steady_jitter)
         if self.style == "generic":
             # Unknown machine: steady runs with jitter only.

@@ -17,6 +17,7 @@ from repro.core.config import BenchmarkConfig
 from repro.errors import ConfigurationError
 from repro.machine.variability import GcdFleet, WarmupModel
 from repro.model.perf_model import AnalyticResult, estimate_run
+from repro.scenario.compile import compile_scenario
 from repro.tools.slownode import ScanReport, scan_fleet
 from repro.tools.warmup import WarmupPlan, plan_warmup, warmup_style
 from repro.util.format import format_flops, render_table
@@ -126,8 +127,6 @@ def run_campaign(
         raise ConfigurationError(f"num_runs must be >= 1, got {num_runs}")
     scenario_mult = 1.0
     if scenario is not None:
-        from repro.scenario.compile import compile_scenario
-
         scenario_mult = compile_scenario(scenario, cfg).pipeline_multiplier
     if fleet is None:
         fleet = GcdFleet(cfg.num_ranks + 4 * cfg.machine.node.gcds_per_node)

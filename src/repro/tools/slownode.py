@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from typing import List
 
 import numpy as np
+import numpy.ma  # noqa: F401 - np.median imports it lazily; serve threads must not
 
 from repro.errors import ConfigurationError
 from repro.machine.spec import MachineSpec

@@ -129,3 +129,11 @@ class TestLoadRecord:
     def test_missing_record_is_none(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         assert load_record() is None
+
+    def test_cli_help_names_the_default_record(self, capsys):
+        # the parser states the default without importing the harness
+        from repro.cli import main
+
+        with pytest.raises(SystemExit):
+            main(["bench", "hotpaths", "--help"])
+        assert DEFAULT_OUT in capsys.readouterr().out

@@ -144,6 +144,21 @@ class TestJobQueue:
         with pytest.raises(ConfigurationError):
             JobQueue(p)
 
+    @pytest.mark.parametrize("jobs, where", [
+        (["abc"], "entry 0"),
+        ({"k1": {"key": "k1"}}, "'jobs'"),
+        ([{"key": "k1", "job": {}}, {"key": "k2", "job": ["grid", 4]}],
+         "entry 1"),
+    ])
+    def test_malformed_entries_name_path_and_index(self, tmp_path, jobs,
+                                                   where):
+        p = tmp_path / "queue.json"
+        p.write_text(json.dumps({"schema": "repro.campaign.queue/v1",
+                                 "jobs": jobs}))
+        with pytest.raises(ConfigurationError) as err:
+            JobQueue(p)
+        assert str(p) in str(err.value) and where in str(err.value)
+
 
 class TestRunCache:
     def test_miss_then_hit(self, tmp_path):

@@ -266,20 +266,59 @@ class TestSingleFlight:
         assert any("node fell over" in e for e in errors)
 
 
-def test_serve_imports_handler_dependencies_at_load():
+_HANDLER_IMPORTS = """
+import http.client, json, sys, threading
+import repro.campaign.serve
+assert 'repro.model.tuner' in sys.modules
+assert 'repro.tools.campaign' in sys.modules
+
+from repro.campaign.serve import make_server
+tmp = sys.argv[1]
+srv = make_server(tmp + '/store.jsonl', tmp + '/cache', port=0)
+threading.Thread(target=srv.serve_forever, daemon=True).start()
+host, port = srv.server_address
+job = {'machine': 'frontier', 'nl': 3072, 'block': 768, 'grid': 2,
+       'bcast': 'bcast', 'num_runs': 1,
+       'scenario': {'schema': 'repro.scenario/v1', 'name': 'slow',
+                    'injections': [{'kind': 'slow_rank', 'rank': 1,
+                                    'factor': 1.5}]}}
+
+def request(method, path, body=None):
+    conn = http.client.HTTPConnection(host, port, timeout=60)
+    conn.request(method, path,
+                 body=None if body is None else json.dumps(body).encode())
+    resp = conn.getresponse()
+    data = resp.read()
+    conn.close()
+    assert resp.status == 200, (path, resp.status, data)
+    return data
+
+before = set(sys.modules)
+key = json.loads(request('POST', '/run', job))['result']['key']  # miss
+assert json.loads(request('POST', '/run', job))['source'] == 'cache'
+request('POST', '/tune', {'machine': 'frontier', 'nl': 3072, 'grid': 2,
+                          'blocks': [768, 1536]})
+for path in ('/results', '/results/' + key, '/metrics', '/stats',
+             '/healthz'):
+    request('GET', path)
+added = sorted(set(sys.modules) - before)
+assert not added, added
+srv.shutdown()
+srv.server_close()
+"""
+
+
+def test_serve_imports_handler_dependencies_at_load(tmp_path):
     # Handler threads must not race each other through first imports
-    # (a partially initialised repro.model.tuner failed /tune and /run).
+    # (a partially initialised repro.model.tuner failed /tune and /run):
+    # serve loads every module a handler reaches, so one request of each
+    # kind against a fresh server imports nothing.
     src = str(Path(repro.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [src, env.get("PYTHONPATH")]))
-    code = (
-        "import sys, repro.campaign.serve\n"
-        "assert 'repro.model.tuner' in sys.modules\n"
-        "assert 'repro.tools.campaign' in sys.modules\n"
-    )
-    subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                   timeout=120)
+    subprocess.run([sys.executable, "-c", _HANDLER_IMPORTS, str(tmp_path)],
+                   env=env, check=True, timeout=120)
 
 
 class TestBoundedRequests:

@@ -3,12 +3,23 @@
 import numpy as np
 import pytest
 
-from repro.comm import BCAST_ALGORITHMS, RankComm
+from repro.broadcasts import BCAST_NAMES
+from repro.comm import BCAST_ALGORITHMS, ROUTE_BUILDERS, RankComm
 from repro.errors import CommunicationError
 from repro.machine import FRONTIER, SUMMIT, CommCosts
 from repro.simulate import Engine, Now, PhantomArray
 
 ALGOS = sorted(BCAST_ALGORITHMS)
+
+
+def test_every_named_algorithm_has_both_implementations():
+    # the dispatch tables zip their implementations onto the one name list
+    assert tuple(BCAST_ALGORITHMS) == BCAST_NAMES
+    assert tuple(ROUTE_BUILDERS) == BCAST_NAMES
+    assert {name: f.__name__ for name, f in BCAST_ALGORITHMS.items()} == {
+        "bcast": "bcast_tree", "ibcast": "ibcast_tree", "ring1": "bcast_ring1",
+        "ring1m": "bcast_ring1m", "ring2m": "bcast_ring2m",
+    }
 
 
 def run_bcast(
