@@ -9,16 +9,16 @@ from a one-config workflow into a production campaign engine:
 - :mod:`repro.campaign.jobs` — the sweep matrix: a :class:`Job` is one
   ``(machine, N, B, grid, bcast, scenario)`` point with a canonical
   JSON form and a content-addressed key (config hash + code version);
-- :mod:`repro.campaign.queue` — persistent, atomically checkpointed
-  job queue giving ``--resume`` after a mid-sweep kill;
+- :mod:`repro.campaign.queue` — persistent job queue whose checkpoint
+  is an append-only log, giving ``--resume`` after a mid-sweep kill;
 - :mod:`repro.campaign.cache` — content-addressed whole-run cache (the
-  PR-2 LRU tile cache's on-disk sibling) with ``campaign.run_cache``
-  obs counters;
+  LRU tile cache's on-disk sibling): one append-only log indexed by
+  offset, with ``campaign.run_cache`` obs counters;
 - :mod:`repro.campaign.store` — indexed JSONL result store, queryable
   through the same :func:`repro.obs.analysis.regression_deltas`
   machinery as ``repro profile --against`` / ``bench --against``;
-- :mod:`repro.campaign.engine` — the multiprocessing worker pool tying
-  queue + cache + store together (``repro campaign --workers N``);
+- :mod:`repro.campaign.engine` — the process pool tying queue + cache
+  + store together (``repro campaign --workers N``);
 - :mod:`repro.campaign.serve` — the long-lived HTTP/JSON API
   (``repro serve``) with single-flight dedupe of identical requests.
 

@@ -7,11 +7,13 @@
    remain pending);
 2. satisfy pending jobs from the content-addressed :class:`RunCache`
    (a re-run of an identical sweep is 100% hits, zero recomputation);
-3. shard the remaining misses over a ``multiprocessing`` pool
-   (``workers=1`` runs inline — no fork, easiest to debug);
-4. as each result lands: write it to the cache and the store, mark the
-   queue entry done, and checkpoint the queue atomically — so a kill at
-   any instant loses at most the jobs still in flight.
+3. shard the remaining misses over a process pool
+   (``workers=1`` runs inline — no worker processes, easiest to debug);
+   a worker that dies fails every job still unfinished, naming each
+   key, so the sweep ends and ``--resume`` retries them;
+4. as each result lands: append it to the cache and the store, mark the
+   queue entry done, and checkpoint the queue (one appended line) — so a
+   kill at any instant loses at most the jobs still in flight.
 
 Progress is narrated one line per completion in the
 ``LiveProgressReporter`` style (``[done/total] key label elapsed``),
@@ -208,11 +210,29 @@ class CampaignEngine:
             for item in items:
                 yield pool_execute(item)
             return
-        import multiprocessing as mp
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor, as_completed
+        from concurrent.futures.process import BrokenProcessPool
 
-        procs = min(self.workers, len(items))
-        with mp.Pool(processes=procs) as pool:
-            yield from pool.imap_unordered(pool_execute, items)
+        pool = ProcessPoolExecutor(
+            max_workers=min(self.workers, len(items)),
+            mp_context=multiprocessing.get_context("spawn"),
+        )
+        try:
+            futures = {pool.submit(pool_execute, item): item[0] for item in items}
+            for future in as_completed(futures):
+                key = futures[future]
+                try:
+                    yield future.result()
+                except BrokenProcessPool as exc:
+                    # A worker died (killed, OOM, os._exit): the pool is
+                    # unusable and every unfinished job lands here.
+                    yield key, None, (
+                        f"job {key} lost: a pool worker process died "
+                        f"before it finished ({exc})"
+                    )
+        finally:
+            pool.shutdown(wait=True, cancel_futures=True)
 
     def _progress(
         self, out: SweepOutcome, key: str, row: dict, source: str

@@ -2,12 +2,13 @@
 
 One line per recorded row, indexed in memory by content-address key.
 :meth:`ResultStore.put` appends a single ``json.dumps(row,
-sort_keys=True)`` line in one ``os.write`` on an ``O_APPEND`` descriptor
-held under ``fcntl.flock(LOCK_EX)``, and fsyncs before the lock is
-released: one fsync per put, and recording a sweep costs time linear
-in the rows it adds.  A put of a row equal to the one already held
-under its key writes nothing, so re-running a sweep leaves the file's
-bytes unchanged.
+sort_keys=True)`` line through :func:`repro.util.atomicio.locked_append`
+(one ``os.write`` on an ``O_APPEND`` descriptor held under
+``fcntl.flock(LOCK_EX)``, fsync'd before the lock is released): one
+fsync per put, and recording a sweep costs time linear in the rows it
+adds.  A put of a row equal to the one already held under its key
+writes nothing, so re-running a sweep leaves the file's bytes
+unchanged.
 
 Loading replays the log: the last line per key wins.  A final line
 with no terminating newline is a torn append (a writer died mid-put);
@@ -39,15 +40,14 @@ validation the ``campaign-store`` lint checker delegates to.
 
 from __future__ import annotations
 
-import fcntl
 import json
-import os
 import warnings
 from pathlib import Path
 from typing import Dict, List, Optional, Union
 
 from repro.campaign.jobs import RESULT_SCHEMA
 from repro.errors import ConfigurationError
+from repro.util.atomicio import locked_append
 
 STORE_SCHEMA = "repro.campaign.store/v1"
 
@@ -148,19 +148,7 @@ class ResultStore:
             raise ConfigurationError(f"invalid store row: {problems[0]}")
         if self._rows.get(row["key"]) == row:
             return
-        line = (json.dumps(row, sort_keys=True) + "\n").encode()
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        fd = os.open(self.path, os.O_RDWR | os.O_APPEND | os.O_CREAT, 0o666)
-        try:
-            fcntl.flock(fd, fcntl.LOCK_EX)
-            size = os.fstat(fd).st_size
-            if size and os.pread(fd, 1, size - 1) != b"\n":
-                os.ftruncate(fd, os.pread(fd, size, 0).rfind(b"\n") + 1)
-            if os.write(fd, line) != len(line):
-                raise OSError(f"short append to campaign store {self.path}")
-            os.fsync(fd)
-        finally:
-            os.close(fd)  # releases the flock
+        locked_append(self.path, (json.dumps(row, sort_keys=True) + "\n").encode())
         self._rows[row["key"]] = row
 
     # -- queries ----------------------------------------------------------

@@ -14,6 +14,7 @@ from repro.model.perf_model import (
     IterationCosts,
     estimate_iteration,
     estimate_run,
+    estimate_runs,
     iteration_columns,
 )
 from repro.model.roofline import (
@@ -32,6 +33,7 @@ __all__ = [
     "IterationCosts",
     "estimate_iteration",
     "estimate_run",
+    "estimate_runs",
     "iteration_columns",
     "sweep_block_sizes",
     "sweep_local_sizes",

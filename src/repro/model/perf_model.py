@@ -11,13 +11,17 @@ hides the panel broadcast under the trailing update (Section IV-B), and
 iterative refinement is priced with the executor formulas.
 
 The steps are closed-form and independent, so the model is an array
-program: ``_step_costs`` is written once, in operators valid for one step
-(a Python int of trailing blocks: ``estimate_iteration``) and for all of
-them (an ``int64`` array: ``iteration_columns``, ``estimate_run``) in one
-operand order, so the two agree bit for bit.  Totals are sequential sums
-(``sequential_sum``: the step loop's ``+=``), never pairwise ``np.sum`` or
-a closed form.  The paper's achievement runs (P = 172², N = 20.6M; 12,960
-steps on Summit) evaluate in about a millisecond.
+program: a step is written once, as its speed-free curves
+(``_step_curves``: broadcasts and compute kernels at unit speed) and their
+``/ speed`` finish (``_step_costs``), in operators valid for one step (a
+Python int of trailing blocks: ``estimate_iteration``) and for all of them
+(an ``int64`` array: ``iteration_columns``, ``estimate_run``) in one
+operand order, so the two agree bit for bit.  ``estimate_runs`` prices one
+config at several speeds (a campaign's consecutive runs) from one
+evaluation of the curves.  Totals are sequential sums (``sequential_sum``:
+the step loop's ``+=``), never pairwise ``np.sum`` or a closed form.  The
+paper's achievement runs (P = 172², N = 20.6M; 12,960 steps on Summit)
+evaluate in about a millisecond.
 """
 
 from __future__ import annotations
@@ -92,10 +96,11 @@ def sequential_sum(column) -> float:
     return float(np.add.accumulate(column)[-1]) if len(column) else 0.0
 
 
-def _diag_costs(cfg: BenchmarkConfig, costs: CommCosts, speed: float):
-    """GETRF and the diagonal-block broadcasts: the same at every step."""
+def _diag_curves(cfg: BenchmarkConfig, costs: CommCosts):
+    """GETRF at unit speed and the diagonal-block broadcasts: the same at
+    every step."""
     b = cfg.block
-    t_getrf = cfg.machine.gpu_kernels.getrf_time(b) / speed
+    getrf = cfg.machine.gpu_kernels.getrf_time(b)
     # Two small B×B FP32 broadcasts along the pivot row and column.
     diag_bytes = b * b * 4
     t_diag = bcast_time(
@@ -105,28 +110,29 @@ def _diag_costs(cfg: BenchmarkConfig, costs: CommCosts, speed: float):
         cfg.diag_algorithm, diag_bytes, cfg.p_rows, costs, cfg.machine.mpi,
         sharing=1, nodes_spanned=cfg.node_grid.k_rows,
     )
-    return t_getrf, t_diag
+    return getrf, t_diag
 
 
-def _step_costs(cfg: BenchmarkConfig, costs: CommCosts, remaining, speed, maximum):
-    """The :data:`COLUMNS` of steps with ``remaining`` > 0 trailing blocks:
-    a Python int with ``maximum=max`` or an ``int64`` array with ``np.maximum``.
+def _step_curves(cfg: BenchmarkConfig, costs: CommCosts, remaining):
+    """The speed-free pieces of steps with ``remaining`` > 0 trailing blocks:
+    ``(getrf, diag_bcast, trsm, cast, gemm, panel_bcast)``, the compute
+    kernels at unit speed.  ``remaining`` is a Python int or an ``int64``
+    array.
 
     Local trailing extents use the *pivot* row/column's view (the ranks
     on the critical path): their local panel lengths are the ceiling of
-    the remaining blocks over the grid dimension.  ``speed`` scales the
-    compute kernels only (fleet variability / warm-up).
+    the remaining blocks over the grid dimension.
     """
     b = cfg.block
     rows_loc = -(-remaining // cfg.p_rows) * b
     cols_loc = -(-remaining // cfg.p_cols) * b
     min_loc = -(-remaining // max(cfg.p_rows, cfg.p_cols)) * b
     km = cfg.machine.gpu_kernels
-    t_getrf, t_diag = _diag_costs(cfg, costs, speed)
+    getrf, t_diag = _diag_curves(cfg, costs)
     # The diagonal owner sits in both pivot panels: its TRSMs serialize.
-    t_trsm = (km.trsm_time_curve(b, cols_loc) + km.trsm_time_curve(b, rows_loc)) / speed
-    t_cast = (km.cast_time_curve(cols_loc * b) + km.cast_time_curve(rows_loc * b)) / speed
-    t_gemm = km.gemm_time_curve(rows_loc, cols_loc, b, cfg.local_rows, min_loc) / speed
+    trsm = km.trsm_time_curve(b, cols_loc) + km.trsm_time_curve(b, rows_loc)
+    cast = km.cast_time_curve(cols_loc * b) + km.cast_time_curve(rows_loc * b)
+    gemm = km.gemm_time_curve(rows_loc, cols_loc, b, cfg.local_rows, min_loc)
     t_bcast = panel_comm_time(
         cfg.bcast_algorithm,
         u_bytes=cols_loc * b * 2.0,
@@ -134,6 +140,21 @@ def _step_costs(cfg: BenchmarkConfig, costs: CommCosts, remaining, speed, maximu
         cfg=cfg,
         costs=costs,
     )
+    return getrf, t_diag, trsm, cast, gemm, t_bcast
+
+
+def _step_costs(cfg: BenchmarkConfig, curves, speed, maximum):
+    """The :data:`COLUMNS` of steps from their :func:`_step_curves`:
+    ``maximum=max`` for one step, ``np.maximum`` for an array of them.
+
+    ``speed`` scales the compute kernels only (fleet variability /
+    warm-up).
+    """
+    getrf, t_diag, trsm, cast, gemm, t_bcast = curves
+    t_getrf = getrf / speed
+    t_trsm = trsm / speed
+    t_cast = cast / speed
+    t_gemm = gemm / speed
     if cfg.lookahead:
         # The paper's look-ahead model: the panel chain stays serial on
         # the pivot ranks, but the panel broadcast rides under the bulk
@@ -150,6 +171,13 @@ def _step_costs(cfg: BenchmarkConfig, costs: CommCosts, remaining, speed, maximu
     return t_getrf, t_diag, t_trsm, t_cast, t_gemm, t_bcast, exposed, total
 
 
+def _last_step(getrf, t_diag, speed):
+    """The :data:`COLUMNS` of the last step: nothing trails the last
+    diagonal block, so only the panel chain is paid."""
+    t_getrf = getrf / speed
+    return t_getrf, t_diag, 0.0, 0.0, 0.0, 0.0, 0.0, t_getrf + t_diag
+
+
 def estimate_iteration(
     cfg: BenchmarkConfig, costs: CommCosts, k: int, speed: float = 1.0
 ) -> IterationCosts:
@@ -158,10 +186,25 @@ def estimate_iteration(
     if not 0 <= k < nb:
         raise ConfigurationError(f"k must be in [0, {nb}), got {k}")
     if k < nb - 1:
-        return IterationCosts(k, *_step_costs(cfg, costs, nb - (k + 1), speed, max))
-    # Nothing trails the last diagonal block: only the panel chain is paid.
-    t_getrf, t_diag = _diag_costs(cfg, costs, speed)
-    return IterationCosts(k, t_getrf, t_diag, 0.0, 0.0, 0.0, 0.0, 0.0, t_getrf + t_diag)
+        curves = _step_curves(cfg, costs, nb - (k + 1))
+        return IterationCosts(k, *_step_costs(cfg, curves, speed, max))
+    return IterationCosts(k, *_last_step(*_diag_curves(cfg, costs), speed))
+
+
+def _run_curves(cfg: BenchmarkConfig, costs: CommCosts):
+    """:func:`_step_curves` of every step but the last (``k = 0 … N/B − 2``)."""
+    return _step_curves(cfg, costs, np.arange(cfg.num_blocks - 1, 0, -1))
+
+
+def _columns(cfg: BenchmarkConfig, curves, speed) -> Dict[str, np.ndarray]:
+    """Every :data:`COLUMNS` field at ``speed`` from :func:`_run_curves`."""
+    cols = np.empty((len(COLUMNS), cfg.num_blocks))
+    head = _step_costs(cfg, curves, speed, np.maximum)
+    last = _last_step(curves[0], curves[1], speed)
+    for row, col, end in zip(cols, head, last):
+        row[:-1] = col
+        row[-1] = end
+    return dict(zip(COLUMNS, cols))
 
 
 def iteration_columns(
@@ -172,14 +215,7 @@ def iteration_columns(
     Entry ``k`` of each column ``==`` the matching field of
     ``estimate_iteration(cfg, costs, k, speed)``.
     """
-    nb = cfg.num_blocks
-    cols = np.empty((len(COLUMNS), nb))
-    head = _step_costs(cfg, costs, np.arange(nb - 1, 0, -1), speed, np.maximum)
-    last = estimate_iteration(cfg, costs, nb - 1, speed)
-    for name, row, col in zip(COLUMNS, cols, head):
-        row[:-1] = col
-        row[-1] = getattr(last, name)
-    return dict(zip(COLUMNS, cols))
+    return _columns(cfg, _run_curves(cfg, costs), speed)
 
 
 def _refinement_time(cfg: BenchmarkConfig, costs: CommCosts) -> float:
@@ -243,33 +279,60 @@ def estimate_run(
 
         compiled = compile_scenario(scenario, cfg)
         pipeline_multiplier *= compiled.pipeline_multiplier
-    costs = CommCosts(
-        cfg.machine, port_binding=cfg.port_binding, gpu_aware=cfg.gpu_aware
-    )
     speed = pipeline_multiplier * global_speed
     if not (isfinite(speed) and speed > 0):
         raise ConfigurationError(
             "pipeline_multiplier * global_speed must be finite and positive, "
             f"got {pipeline_multiplier} * {global_speed}"
         )
-    cols = iteration_columns(cfg, costs, speed)
-    totals = {name: sequential_sum(col) for name, col in cols.items()}
-    del totals["panel_bcast"]  # the run pays ``exposed_comm``, not the hidden part
-    t_fact = totals.pop("total") + cfg.machine.gpu_kernels.h2d_time(cfg.local_fp32_bytes)
-    iters: List[IterationCosts] = []
-    if keep_iterations:
-        rows = zip(*(col.tolist() for col in cols.values()))
-        iters = [IterationCosts(k, *row) for k, row in enumerate(rows)]
-    t_ir = _refinement_time(cfg, costs) / speed
-    elapsed = t_fact + t_ir
-    totals["refinement"] = t_ir
-    return AnalyticResult(
-        config=cfg,
-        elapsed=elapsed,
-        elapsed_factorization=t_fact,
-        elapsed_refinement=t_ir,
-        gflops_per_gcd=fl.per_gcd_gflops(cfg.n, cfg.num_ranks, elapsed),
-        total_flops_per_s=fl.hpl_ai_flops(cfg.n) / elapsed,
-        breakdown=totals,
-        iterations=iters,
+    (result,) = estimate_runs(cfg, (speed,), keep_iterations)
+    return result
+
+
+def estimate_runs(
+    cfg: BenchmarkConfig, speeds, keep_iterations: bool = False
+) -> List[AnalyticResult]:
+    """:func:`estimate_run` of ``cfg`` at each of ``speeds``, in order.
+
+    Result ``i`` is ``estimate_run(cfg, pipeline_multiplier=speeds[i])``
+    bit for bit.  The speed-free work — ``CommCosts``, the broadcast and
+    kernel curves of every step, the refinement cost — is done once; each
+    speed only divides the compute curves and sums its columns.  This is
+    what a campaign's consecutive runs (one config, several fleet / warm-up
+    speeds) cost.  ``keep_iterations`` is :func:`estimate_run`'s.
+    """
+    for speed in speeds:
+        if not (isfinite(speed) and speed > 0):
+            raise ConfigurationError(
+                f"run speeds must be finite and positive, got {speed}"
+            )
+    costs = CommCosts(
+        cfg.machine, port_binding=cfg.port_binding, gpu_aware=cfg.gpu_aware
     )
+    curves = _run_curves(cfg, costs)
+    t_h2d = cfg.machine.gpu_kernels.h2d_time(cfg.local_fp32_bytes)
+    refinement = _refinement_time(cfg, costs)
+    results = []
+    for speed in speeds:
+        cols = _columns(cfg, curves, speed)
+        totals = {name: sequential_sum(col) for name, col in cols.items()}
+        del totals["panel_bcast"]  # the run pays ``exposed_comm``, not the hidden part
+        t_fact = totals.pop("total") + t_h2d
+        iters: List[IterationCosts] = []
+        if keep_iterations:
+            rows = zip(*(col.tolist() for col in cols.values()))
+            iters = [IterationCosts(k, *row) for k, row in enumerate(rows)]
+        t_ir = refinement / speed
+        elapsed = t_fact + t_ir
+        totals["refinement"] = t_ir
+        results.append(AnalyticResult(
+            config=cfg,
+            elapsed=elapsed,
+            elapsed_factorization=t_fact,
+            elapsed_refinement=t_ir,
+            gflops_per_gcd=fl.per_gcd_gflops(cfg.n, cfg.num_ranks, elapsed),
+            total_flops_per_s=fl.hpl_ai_flops(cfg.n) / elapsed,
+            breakdown=totals,
+            iterations=iters,
+        ))
+    return results

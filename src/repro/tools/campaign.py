@@ -16,7 +16,7 @@ from typing import List, Optional
 from repro.core.config import BenchmarkConfig
 from repro.errors import ConfigurationError
 from repro.machine.variability import GcdFleet, WarmupModel
-from repro.model.perf_model import AnalyticResult, estimate_run
+from repro.model.perf_model import estimate_runs
 from repro.scenario.compile import compile_scenario
 from repro.tools.slownode import ScanReport, scan_fleet
 from repro.tools.warmup import WarmupPlan, plan_warmup, warmup_style
@@ -160,21 +160,20 @@ def run_campaign(
     warmup = plan_warmup(cfg.machine)
     wm = WarmupModel(warmup_style(cfg.machine.name))
 
-    runs: List[CampaignRun] = []
-    for i in range(num_runs):
-        speed = (
-            pipeline * scenario_mult * wm.run_multiplier(i, warmed_up=do_warmup)
+    speeds = [
+        pipeline * scenario_mult * wm.run_multiplier(i, warmed_up=do_warmup)
+        for i in range(num_runs)
+    ]
+    runs = [
+        CampaignRun(
+            index=i,
+            speed_multiplier=speed,
+            elapsed_s=res.elapsed,
+            gflops_per_gcd=res.gflops_per_gcd,
+            total_flops_per_s=res.total_flops_per_s,
         )
-        res: AnalyticResult = estimate_run(cfg, pipeline_multiplier=speed)
-        runs.append(
-            CampaignRun(
-                index=i,
-                speed_multiplier=speed,
-                elapsed_s=res.elapsed,
-                gflops_per_gcd=res.gflops_per_gcd,
-                total_flops_per_s=res.total_flops_per_s,
-            )
-        )
+        for i, (speed, res) in enumerate(zip(speeds, estimate_runs(cfg, speeds)))
+    ]
     return CampaignResult(
         config=cfg, scan=scan, warmup=warmup, runs=runs,
         exclusion_applied=exclusion_applied,

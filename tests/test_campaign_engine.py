@@ -160,6 +160,105 @@ class TestJobQueue:
         assert str(p) in str(err.value) and where in str(err.value)
 
 
+class TestJobQueueLog:
+    """The queue checkpoint is an append-only log: one line per checkpoint
+    holding what changed, replayed last-entry-wins on load."""
+
+    def _entries(self, jobs, done):
+        return [
+            {"key": job.key(CODE), "status": "done" if i in done else "pending",
+             "job": job.to_dict(), "error": ""}
+            for i, job in enumerate(jobs)
+        ]
+
+    def test_indented_whole_queue_checkpoint_loads_and_resumes(self, tmp_path):
+        jobs = _jobs()
+        p = tmp_path / "q.json"
+        doc = {"schema": "repro.campaign.queue/v1",
+               "jobs": self._entries(jobs, done={0, 1})}
+        p.write_text(json.dumps(doc, indent=2) + "\n")
+        before = p.read_text()
+        q = JobQueue(p)
+        assert q.counts() == {"pending": 2, "done": 2, "failed": 0}
+        out = _engine(tmp_path).run_sweep(jobs, q, code=CODE)
+        assert (out.total, out.computed) == (4, 2)
+        assert p.read_text().startswith(before)  # appended, not rewritten
+        assert JobQueue(p).counts()["done"] == 4
+
+    def test_cold_sweep_appends_one_line_per_completion(self, tmp_path):
+        jobs = _jobs()
+        p = tmp_path / "q.json"
+        seen = []
+        _engine(tmp_path).run_sweep(
+            jobs, JobQueue(p), code=CODE,
+            on_complete=lambda _key, _row: seen.append(p.read_bytes()),
+        )
+        final = p.read_bytes()
+        for earlier, later in zip(seen, seen[1:] + [final]):
+            assert later.startswith(earlier)
+        lines = final.decode().splitlines()
+        assert len(lines) == 1 + len(jobs)
+        registered = json.loads(lines[0])
+        assert [e["status"] for e in registered["jobs"]] == ["pending"] * 4
+        for line in lines[1:]:
+            (entry,) = json.loads(line)["jobs"]
+            assert entry["status"] == "done"
+
+    def test_unchanged_checkpoint_writes_nothing(self, tmp_path):
+        p = tmp_path / "q.json"
+        q = JobQueue(p)
+        q.add("k1", {"machine": "frontier"})
+        q.add("k2", {"machine": "summit"})
+        q.mark_done("k1")
+        q.checkpoint()
+        before = p.read_bytes()
+        q.checkpoint()
+        again = JobQueue(p)
+        again.add("k1", {"machine": "frontier"})
+        again.mark_done("k1")
+        again.checkpoint()
+        assert p.read_bytes() == before
+
+    def test_unterminated_complete_line_survives_the_next_cut(self, tmp_path):
+        p = tmp_path / "q.json"
+        entry = {"key": "k1", "status": "done", "job": {}, "error": ""}
+        p.write_text(json.dumps({"schema": "repro.campaign.queue/v1",
+                                 "jobs": [entry]}))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            q = JobQueue(p)
+        q.add("k2", {})
+        q.checkpoint()
+        assert p.read_text().endswith("\n")
+        reloaded = JobQueue(p)
+        assert reloaded.status_of("k1") == "done"
+        assert reloaded.status_of("k2") == "pending"
+
+    def test_torn_final_line_dropped_then_cut(self, tmp_path):
+        p = tmp_path / "q.json"
+        q = JobQueue(p)
+        q.add("k1", {})
+        q.add("k2", {})
+        q.checkpoint()
+        intact = p.read_bytes()
+        q.mark_done("k1")
+        q.checkpoint()
+        p.write_bytes(p.read_bytes()[:-9])  # the second append, cut short
+        with pytest.warns(UserWarning,
+                          match=re.escape(f"{p}:2: dropping a torn")):
+            resumed = JobQueue(p)
+        assert p.read_bytes().startswith(intact)
+        assert resumed.counts() == {"pending": 2, "done": 0, "failed": 0}
+        resumed.mark_failed("k2", "boom")
+        resumed.checkpoint()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            reloaded = JobQueue(p)
+        assert len(p.read_text().splitlines()) == 2
+        assert reloaded.status_of("k1") == "pending"
+        assert reloaded.status_of("k2") == "failed"
+
+
 class TestRunCache:
     def test_miss_then_hit(self, tmp_path):
         c = RunCache(tmp_path / "cache")
@@ -173,13 +272,71 @@ class TestRunCache:
     def test_corrupt_entry_is_a_miss(self, tmp_path):
         c = RunCache(tmp_path / "cache")
         c.put("deadbeefdeadbeef", {"key": "deadbeefdeadbeef"})
-        (tmp_path / "cache" / "deadbeefdeadbeef.json").write_text("{trunc")
+        c.path.write_text("deadbeefdeadbeef\t{trunc\n")
         assert c.get("deadbeefdeadbeef") is None
 
     def test_key_mismatch_is_a_miss(self, tmp_path):
         c = RunCache(tmp_path / "cache")
         c.put("deadbeefdeadbeef", {"key": "somethingelse0000"})
         assert c.get("deadbeefdeadbeef") is None
+
+
+class TestRunCacheLog:
+    """The run cache is one append-only log indexed by offset."""
+
+    KEYS = ("a" * 16, "b" * 16, "c" * 16)
+
+    def test_two_caches_on_one_root_see_each_others_puts(self, tmp_path):
+        a, b = RunCache(tmp_path / "cache"), RunCache(tmp_path / "cache")
+        ka, kb, _ = self.KEYS
+        a.put(ka, {"key": ka, "x": 1})
+        assert b.get(ka) == {"key": ka, "x": 1}
+        b.put(kb, {"key": kb, "x": 2})
+        assert a.get(kb) == {"key": kb, "x": 2}
+        assert len(a) == len(b) == 2
+
+    def test_corrupted_line_is_a_miss(self, tmp_path):
+        c = RunCache(tmp_path / "cache")
+        for i, key in enumerate(self.KEYS):
+            c.put(key, {"key": key, "x": i})
+        lines = c.path.read_text().splitlines(keepends=True)
+        lines[1] = lines[1][:17] + "{not json" + "\n"
+        c.path.write_text("".join(lines))
+        fresh = RunCache(tmp_path / "cache")
+        ka, kb, kc = self.KEYS
+        assert fresh.get(kb) is None
+        assert fresh.get(ka)["x"] == 0 and fresh.get(kc)["x"] == 2
+
+    def test_torn_tail_is_a_miss_and_the_next_put_repairs_it(self, tmp_path):
+        c = RunCache(tmp_path / "cache")
+        ka, kb, kc = self.KEYS
+        c.put(ka, {"key": ka})
+        intact = c.path.read_bytes()
+        with open(c.path, "ab") as fh:
+            fh.write(f"{kb}\t{{\"key\": \"{kb}\"".encode())  # no newline
+        reader = RunCache(tmp_path / "cache")
+        assert reader.get(kb) is None
+        assert reader.get(ka) == {"key": ka}
+        c.put(kc, {"key": kc})
+        assert c.path.read_bytes() == intact + f"{kc}\t{json.dumps({'key': kc})}\n".encode()
+        assert reader.get(kc) == {"key": kc}
+        assert RunCache(tmp_path / "cache").get(kb) is None
+
+    def test_key_mismatched_line_is_a_miss(self, tmp_path):
+        ka, kb, _ = self.KEYS
+        c = RunCache(tmp_path / "cache")
+        c.put(ka, {"key": ka})
+        with open(c.path, "a") as fh:
+            fh.write(f"{kb}\t{json.dumps({'key': ka})}\n")
+        assert RunCache(tmp_path / "cache").get(kb) is None
+        assert RunCache(tmp_path / "cache").get(ka) == {"key": ka}
+
+    def test_per_key_files_of_earlier_versions_are_ignored(self, tmp_path):
+        ka = self.KEYS[0]
+        (tmp_path / "cache").mkdir()
+        (tmp_path / "cache" / f"{ka}.json").write_text(json.dumps({"key": ka}))
+        c = RunCache(tmp_path / "cache")
+        assert c.get(ka) is None and len(c) == 0
 
 
 class TestExecuteJob:
@@ -306,6 +463,71 @@ class TestSweepDeterminism:
         (key, error), = out.errors
         assert "no-such-algorithm" in error
         assert JobQueue(tmp_path / "q.json").status_of(key) == "failed"
+
+
+_KILL_ONE_WORKER = """
+import json, os, sys
+from repro.campaign import CampaignEngine, Job, JobQueue, ResultStore, RunCache
+from repro.campaign import engine
+from repro.campaign.runner import pool_execute
+
+CODE = "test-code-v1"
+JOBS = [Job(machine="frontier", nl=3072, block=768, num_runs=1, grid=g, bcast=b)
+        for g in (2, 4) for b in ("bcast", "ring2m")]
+DOOMED = JOBS[1].key(CODE)
+
+
+def die_on_doomed(item):
+    if item[0] == DOOMED:
+        os._exit(9)
+    return pool_execute(item)
+
+
+if __name__ == "__main__":
+    engine.pool_execute = die_on_doomed
+    root = sys.argv[1]
+    eng = CampaignEngine(ResultStore(root + "/store.jsonl"),
+                         RunCache(root + "/cache"), workers=2,
+                         log=lambda _m: None)
+    out = eng.run_sweep(JOBS, JobQueue(root + "/q.json"), code=CODE)
+    print(json.dumps({"doomed": DOOMED, "summary": out.to_dict()}))
+"""
+
+
+class TestWorkerDeath:
+    def test_killed_worker_fails_its_jobs_and_resume_retries(self, tmp_path):
+        import os
+        import subprocess
+        import sys
+
+        import repro
+
+        script = tmp_path / "kill_one_worker.py"
+        script.write_text(_KILL_ONE_WORKER)
+        src = str(Path(repro.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, str(script), str(tmp_path)], env=env,
+            capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        report = json.loads(proc.stdout.splitlines()[-1])
+        summary = report["summary"]
+        errors = {e["key"]: e["error"] for e in summary["errors"]}
+        assert report["doomed"] in errors
+        for key, error in errors.items():
+            assert key in error and "worker process died" in error
+        assert summary["failed"] == len(errors)
+        assert summary["computed"] + summary["failed"] == summary["total"] == 4
+
+        queue = JobQueue(tmp_path / "q.json")
+        assert queue.counts()["failed"] == len(errors)
+        assert {key for key, _ in queue.pending()} == set(errors)
+        out = _engine(tmp_path).run_sweep(_jobs(), queue, code=CODE)
+        assert out.computed == len(errors) and out.failed == 0
+        assert JobQueue(tmp_path / "q.json").counts()["done"] == 4
 
 
 class TestStoreQueries:

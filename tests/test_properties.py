@@ -24,6 +24,7 @@ from repro.model.perf_model import (
     COLUMNS,
     estimate_iteration,
     estimate_run,
+    estimate_runs,
     iteration_columns,
 )
 from repro.errors import ConfigurationError
@@ -172,6 +173,40 @@ class TestModelArrayProgram:
             cfg.local_fp32_bytes
         )
         assert type(res.elapsed) is float
+
+
+    @given(
+        st.sampled_from([SUMMIT, FRONTIER]),
+        st.integers(1, 12),
+        st.integers(1, 12),
+        st.sampled_from([64, 100, 768, 1000, 3072]),
+        st.integers(1, 4),
+        st.sampled_from(["bcast", "ibcast", "ring1", "ring1m", "ring2m"]),
+        st.booleans(),
+        st.lists(st.floats(0.5, 1.5), min_size=1, max_size=6),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_batched_speeds_equal_one_run_each(
+        self, machine, p_rows, p_cols, block, mult, algo, lookahead, speeds
+    ):
+        cfg = BenchmarkConfig(
+            n=mult * lcm(p_rows, p_cols) * block, block=block, machine=machine,
+            p_rows=p_rows, p_cols=p_cols, bcast_algorithm=algo,
+            lookahead=lookahead,
+        )
+
+        def bits(res):
+            return (
+                res.elapsed.hex(), res.elapsed_factorization.hex(),
+                res.elapsed_refinement.hex(), res.gflops_per_gcd.hex(),
+                res.total_flops_per_s.hex(),
+                {k: float(v).hex() for k, v in res.breakdown.items()},
+            )
+
+        batched = estimate_runs(cfg, speeds)
+        assert len(batched) == len(speeds)
+        for speed, res in zip(speeds, batched):
+            assert bits(res) == bits(estimate_run(cfg, pipeline_multiplier=speed))
 
 
 class TestEngineDeterminism:
