@@ -628,6 +628,11 @@ class _PivotingMatrix:
     def block(self, r0, r1, c0, c1):
         return self._a[r0:r1, c0:c1].copy()
 
+    def band(self, r0, r1):
+        rows = self._a[r0:r1]  # a fresh view: freezing it leaves _a writable
+        rows.flags.writeable = False
+        return rows
+
     def rhs(self):
         return self._b.copy()
 

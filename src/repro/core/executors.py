@@ -326,9 +326,8 @@ class ExactExecutor(ExecutorBase):
         super().__init__(cfg, p_ir, p_ic, rank)
         self.matrix = HplAiMatrix(cfg.n, cfg.seed)
         self.shim = get_shim(cfg.machine.platform)
-        #: global element index of every owned column / row-block, for
-        #: bulk gather and scatter on the hot paths
-        self._gcols = cfg.col_dim.element_indices(p_ic)
+        #: global block-row index of every owned row-block, for bulk
+        #: scatter on the hot paths
         self._grow_blocks = (
             np.arange(cfg.row_dim.blocks_per_proc, dtype=np.int64)
             * cfg.p_rows + p_ir
@@ -350,27 +349,28 @@ class ExactExecutor(ExecutorBase):
         """Generate the local pieces of A in FP64 and keep them in the
         storage precision (FP32 for HPL-AI).
 
-        Mirrors Algorithm 1 line 2 + the host-to-device copy.  One bulk
-        :meth:`~repro.lcg.matrix.HplAiMatrix.block` call per local tile
+        Mirrors Algorithm 1 line 2 + the host-to-device copy.  One
+        :meth:`~repro.lcg.matrix.HplAiMatrix.band` read per local tile
         *row band* (full matrix width) replaces the per-tile loop; the
-        owned columns are then gathered from the band.  Full-width bands
-        are the canonical cache unit: the other ranks of this process
-        row, every IR residual, and the verification pass all hit the
-        same entries instead of regenerating them.
+        block-cyclic layout has no padding, so the owned columns are a
+        strided view of the band (``(b, N/(b·Q), Q, b)``, this rank's
+        process column) cast straight into local storage.  Full-width
+        bands are the canonical cache unit: the other ranks of this
+        process row and every IR residual read the same cached array in
+        place instead of regenerating or copying it.
         """
         cfg = self.cfg
         b = self.b
+        nbc = cfg.col_dim.blocks_per_proc
         local = np.empty(
             (cfg.local_rows, cfg.local_cols), dtype=self.storage_dtype
         )
-        all_cols = cfg.p_cols == 1
+        tiles = local.reshape(cfg.row_dim.blocks_per_proc, b, nbc, b)
         with self._hotpath_span("fill_local"):
             for lr in range(cfg.row_dim.blocks_per_proc):
                 gr = cfg.row_dim.global_block(self.p_ir, lr)
-                band = self.matrix.block(gr * b, (gr + 1) * b, 0, cfg.n)
-                local[lr * b : (lr + 1) * b, :] = (
-                    band if all_cols else band[:, self._gcols]
-                )
+                band = self.matrix.band(gr * b, (gr + 1) * b)
+                tiles[lr] = band.reshape(b, nbc, cfg.p_cols, b)[:, :, self.p_ic]
         self.local = local
         return self._t_fill()
 
@@ -502,16 +502,18 @@ class ExactExecutor(ExecutorBase):
                      sign: float) -> None:
         """``partial += sign * (local tiles of A) @ v`` over owned tiles.
 
-        Regenerates one full-width FP64 row band per local block row —
-        the same cache keys the fill populated, so after the first touch
-        each refinement iteration's "regeneration" is a cache lookup.
-        The per-tile multiply order (ascending owned column) is kept so
-        results are bitwise-identical to the historical per-tile loop.
+        Reads one full-width FP64 row band per local block row through
+        :meth:`~repro.lcg.matrix.HplAiMatrix.band` — the same cache keys
+        the fill populated, so after the first touch each refinement
+        iteration's "regeneration" is a cache lookup that reads the
+        cached band in place, without copying it.  The per-tile multiply
+        order (ascending owned column) is kept so results are
+        bitwise-identical to the historical per-tile loop.
         """
         cfg, b = self.cfg, self.b
         for lr in range(cfg.row_dim.blocks_per_proc):
             g = cfg.row_dim.global_block(self.p_ir, lr)
-            band = self.matrix.block(g * b, (g + 1) * b, 0, cfg.n)
+            band = self.matrix.band(g * b, (g + 1) * b)
             seg = partial[g * b : (g + 1) * b]
             for lc in range(cfg.col_dim.blocks_per_proc):
                 j = cfg.col_dim.global_block(self.p_ic, lc)

@@ -78,9 +78,10 @@ class HplExecutor(ExactExecutor):
     The exact executor with FP64 as its storage precision: fill, plan
     memo, block lookup and the sweep kernels are inherited; the FP64
     TRSM / GEMM and their charged times, and the pivoting pieces, are
-    its own.  ``matrix`` is any object with ``block(r0, r1, c0, c1)``
-    and ``rhs()``; HPL proper runs general matrices, so tests inject
-    non-dominant ones to exercise the pivoting.
+    its own.  ``matrix`` is any object with ``block(r0, r1, c0, c1)``,
+    the read-only full-width ``band(r0, r1)`` and ``rhs()``; HPL proper
+    runs general matrices, so tests inject non-dominant ones to exercise
+    the pivoting.
     """
 
     storage_dtype = np.dtype(np.float64)
@@ -326,15 +327,15 @@ def _column_strip(m, cfg: BenchmarkConfig, jj: int) -> np.ndarray:
     """Full-height column block ``jj`` of ``m`` for the residual check.
 
     Cache-backed LCG matrices are assembled from the full-width row bands
-    the distributed fill already cached, so no entry is regenerated; the
-    values are identical either way (each entry is a pure function of its
-    global position).
+    the distributed fill already cached, read in place, so no entry is
+    regenerated or copied whole; the values are identical either way
+    (each entry is a pure function of its global position).
     """
     b = cfg.block
     if not getattr(m, "use_cache", False):
         return m.block(0, cfg.n, jj * b, (jj + 1) * b)
     return np.concatenate([
-        m.block(g * b, (g + 1) * b, 0, cfg.n)[:, jj * b:(jj + 1) * b]
+        m.band(g * b, (g + 1) * b)[:, jj * b:(jj + 1) * b]
         for g in range(cfg.num_blocks)
     ])
 
@@ -524,8 +525,8 @@ def solve_hpl_distributed(cfg: BenchmarkConfig, matrix=None):
     with the solution, residual and simulated times (from rank 0).
 
     ``matrix`` optionally overrides the input (any object with
-    ``block(r0, r1, c0, c1)`` and ``rhs()``) so general, pivot-requiring
-    systems can be solved.
+    ``block(r0, r1, c0, c1)``, ``band(r0, r1)`` and ``rhs()``) so
+    general, pivot-requiring systems can be solved.
     """
     outcome = _run_ranks(
         cfg, partial(HplExecutor, matrix=matrix), obs_context.current()

@@ -4,17 +4,19 @@ On-the-fly generation (the paper's Section III-C trick) trades memory
 for recomputation: every :meth:`~repro.lcg.matrix.HplAiMatrix.block`
 call reruns the O(64 · area) jump-ahead passes.  In an exact run the
 same tiles are requested many times — the distributed fill asks for each
-row band once *per process column*, every iterative-refinement residual
-regenerates the whole fill's worth of entries, and the final
-verification walks the matrix again.  Entries are pure functions of
-``(n, seed, a, c)`` and the requested range, so identical requests are
-trivially memoizable.
+row band once *per process column*, and every iterative-refinement
+residual regenerates the whole fill's worth of entries.  Entries are
+pure functions of ``(n, seed, a, c)`` and the requested range, so
+identical requests are trivially memoizable.  (The acceptance test in
+:mod:`repro.core.verify` deliberately regenerates outside the cache.)
 
 This module provides a process-wide :class:`TileCache`: an LRU keyed by
 ``(n, seed, a, c, row_start, row_stop, col_start, col_stop)`` holding
 read-only FP64 arrays under a byte budget.  :class:`HplAiMatrix`
-consults it from :meth:`block` (and returns *copies*, so cached arrays
-can never be mutated by callers).  Because the key is value-based, the
+consults it from :meth:`~repro.lcg.matrix.HplAiMatrix.band`, which hands
+readers the write-protected cached array itself, and from
+:meth:`~repro.lcg.matrix.HplAiMatrix.block`, which returns a private
+copy callers may mutate.  Because the key is value-based, the
 cache is shared across matrix instances — which is exactly what makes it
 effective: in a simulated SPMD run every rank owns its own
 ``HplAiMatrix`` object, but they all describe the same matrix.

@@ -64,8 +64,9 @@ class HplAiMatrix:
     """A virtual N×N HPL-AI matrix regenerable from any index range.
 
     The matrix is never stored: :meth:`block` materializes any rectangular
-    sub-block on demand, which is how both the initial distributed fill
-    and the iterative-refinement residual (which needs FP64 entries) work.
+    sub-block on demand, and :meth:`band` reads full-width row bands in
+    place, which is how both the initial distributed fill and the
+    iterative-refinement residual (which needs FP64 entries) work.
 
     Parameters
     ----------
@@ -77,7 +78,7 @@ class HplAiMatrix:
         Optional LCG constants (default MMIX).
     use_cache:
         Consult the process-wide :func:`repro.lcg.cache.tile_cache` in
-        :meth:`block`.  Entries are pure functions of
+        :meth:`block` and :meth:`band`.  Entries are pure functions of
         ``(n, seed, a, c)`` and the range, so two matrices with the same
         parameters share cached tiles; disable to force regeneration.
     """
@@ -125,25 +126,44 @@ class HplAiMatrix:
         Results are memoized in the shared bounded
         :func:`~repro.lcg.cache.tile_cache` (unless ``use_cache=False``)
         and a *fresh* array is always returned — callers may mutate it.
+        Callers that only read full-width rows should use :meth:`band`,
+        which hands out the cached array itself instead of a copy.
         """
         self._check_range(row_start, row_stop, "row")
         self._check_range(col_start, col_stop, "col")
-        cache = tile_cache() if self.use_cache else None
+        out = self._fp64_range(row_start, row_stop, col_start, col_stop)
+        # A cached entry is shared and frozen; hand callers a private copy.
+        return out.astype(dtype, copy=self.use_cache)
+
+    def band(self, row_start: int, row_stop: int) -> np.ndarray:
+        """Read-only full-width FP64 rows ``A[row_start:row_stop, :]``.
+
+        The in-place reader of the matrix: with the cache on, a hit is the
+        tile cache's own write-protected array and a miss the frozen array
+        just stored under the same key as ``block(row_start, row_stop, 0,
+        n)``, so a band is never copied.  With ``use_cache=False`` it is a
+        freshly generated, non-writeable array.
+        """
+        self._check_range(row_start, row_stop, "row")
+        out = self._fp64_range(row_start, row_stop, 0, self.n)
+        out.setflags(write=False)
+        return out
+
+    def _fp64_range(
+        self, row_start: int, row_stop: int, col_start: int, col_stop: int
+    ) -> np.ndarray:
+        """FP64 range through the tile cache: its frozen entry (stored on
+        a miss) when caching, else freshly generated."""
+        if not self.use_cache:
+            return self._generate_block(row_start, row_stop, col_start, col_stop)
+        cache = tile_cache()
         key = (self.n, self.seed, self.a, self.c,
                row_start, row_stop, col_start, col_stop)
-        if cache is not None:
-            cached = cache.get(key)
-            if cached is not None:
-                if np.dtype(dtype) == np.float64:
-                    return cached.copy()
-                return cached.astype(dtype)
-        out = self._generate_block(row_start, row_stop, col_start, col_stop)
-        if cache is not None:
+        out = cache.get(key)
+        if out is None:
+            out = self._generate_block(row_start, row_stop, col_start, col_stop)
             cache.put(key, out)
-            # put() froze the stored array; hand callers a private copy.
-            if np.dtype(dtype) == np.float64:
-                return out.copy()
-        return out.astype(dtype, copy=False)
+        return out
 
     def _generate_block(
         self, row_start: int, row_stop: int, col_start: int, col_stop: int

@@ -12,7 +12,7 @@ from repro.machine import SUMMIT
 
 class DenseMatrix:
     """Adapter exposing an arbitrary dense matrix through the generator
-    interface (block + rhs), for pivot-requiring test systems."""
+    interface (block + band + rhs), for pivot-requiring test systems."""
 
     def __init__(self, a: np.ndarray, b: np.ndarray):
         self._a = a
@@ -21,6 +21,11 @@ class DenseMatrix:
 
     def block(self, r0, r1, c0, c1):
         return self._a[r0:r1, c0:c1].copy()
+
+    def band(self, r0, r1):
+        rows = self._a[r0:r1]  # a fresh view: freezing it leaves _a writable
+        rows.flags.writeable = False
+        return rows
 
     def rhs(self):
         return self._b.copy()

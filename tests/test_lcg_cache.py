@@ -148,6 +148,60 @@ class TestMatrixCacheIntegration:
             configure_tile_cache(DEFAULT_MAX_BYTES)
 
 
+class TestBandReader:
+    """``band()`` reads the cached array in place; ``block()`` copies."""
+
+    def test_second_call_returns_the_same_array(self):
+        m = HplAiMatrix(64, 7)
+        first = m.band(0, 8)
+        assert m.band(0, 8) is first
+        assert HplAiMatrix(64, 7).band(0, 8) is first  # shared by value
+
+    def test_writes_are_refused(self):
+        m = HplAiMatrix(64, 7)
+        for band in (m.band(8, 16), m.band(8, 16)):  # miss, then hit
+            with pytest.raises(ValueError):
+                band[0, 0] = 1e9
+
+    def test_bitwise_equal_to_block(self):
+        m = HplAiMatrix(64, 7)
+        band = m.band(16, 24)
+        assert band.tobytes() == m.block(16, 24, 0, 64).tobytes()
+        assert band.tobytes() == (
+            HplAiMatrix(64, 7, use_cache=False).block(16, 24, 0, 64).tobytes()
+        )
+
+    def test_counts_like_block(self):
+        from repro.obs import Observability, use
+
+        def tally(read):
+            clear_tile_cache()
+            obs = Observability()
+            with use(obs):
+                m = HplAiMatrix(64, 7)
+                for g in (0, 1, 0, 2, 1, 0):
+                    read(m, g * 8, (g + 1) * 8)
+            s = tile_cache().stats()
+            events = {
+                e: obs.metrics.counter("lcg.tile_cache", event=e).value
+                for e in ("hit", "miss")
+            }
+            return s["hits"], s["misses"], s["entries"], events
+
+        by_band = tally(lambda m, r0, r1: m.band(r0, r1))
+        by_block = tally(lambda m, r0, r1: m.block(r0, r1, 0, 64))
+        assert by_band == by_block == (3, 3, 3, {"hit": 3, "miss": 3})
+
+    def test_uncached_band_is_fresh_and_read_only(self):
+        m = HplAiMatrix(64, 7, use_cache=False)
+        before = tile_cache().stats()
+        a, b = m.band(0, 8), m.band(0, 8)
+        assert a is not b
+        assert not a.flags.writeable and not b.flags.writeable
+        assert a.tobytes() == b.tobytes()
+        assert tile_cache().stats() == before
+
+
 class TestCacheObservability:
     """Cache events mirror into the obs metrics registry when enabled."""
 
