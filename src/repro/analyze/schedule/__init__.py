@@ -1,8 +1,7 @@
 """Whole-program communication-schedule verification.
 
 Pipeline: :mod:`~repro.analyze.schedule.extract` runs the rank
-programs through an un-timed interpreter mirroring the engine's
-matching semantics and records the pure communication structure as a
+programs on the timed engine and records the op stream it executes as a
 :class:`~repro.analyze.schedule.model.Schedule`;
 :mod:`~repro.analyze.schedule.hb` builds the happens-before graph over
 it and proves matching, race freedom, collective symmetry and deadlock

@@ -1,16 +1,23 @@
-"""Schedule extraction: bounded symbolic execution of the rank programs.
+"""Schedule extraction: the rank programs, run on the timed engine.
 
 The comm generators (the rank program of :mod:`repro.core.hplai`, the
 pivoted phases of :mod:`repro.core.hpl_dist`, the broadcast/collective
-generators under :mod:`repro.comm`) are driven
-by an *un-timed* cooperative interpreter that mirrors the engine's
-matching semantics exactly — FIFO mailboxes keyed ``(src, dst, tag)``,
-routed broadcasts deposited as-if-from-root, collectives matched on
-``(members, key, occurrence, op type)`` — but charges no time at all.
-What remains is the pure communication structure: who sends what to
+generators under :mod:`repro.comm`) run on the ordinary
+:class:`~repro.simulate.engine.Engine`, each wrapped in a recorder that
+notes every communication op as the rank yields it: who sends what to
 whom, on which wire tag, in which program order.  That structure is the
 :class:`~repro.analyze.schedule.model.Schedule` the happens-before
-checks prove properties about.
+checks prove properties about, so the proved schedule is the op stream
+the timed engine executes — there is no second interpreter to keep in
+step with it.
+
+Matching is derived afterwards by :func:`~repro.analyze.schedule.model.fifo_match`:
+each ``(src, dst, wire)`` channel has one sender and is FIFO, so the
+k-th send pairs with the k-th recv whatever order the ranks ran in.
+Collectives pair the way the engine pairs them: the n-th post of
+``(members, key)`` by every member, of one op type.  A stalled run is
+diagnosed by the engine itself (:class:`~repro.errors.StallError`), and
+its blocked ranks and wait-for cycle become the counterexample.
 
 Soundness boundary: execution is *concrete*, not symbolic over data —
 each (grid, algorithm, matrix) case proves that one case.  HPL-AI's
@@ -25,24 +32,28 @@ Interprocedural attribution comes for free: at every yield the live
 
 from __future__ import annotations
 
-from collections import deque
+from collections import defaultdict
 from dataclasses import dataclass, field
-from functools import partial
+from functools import lru_cache, partial
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.analyze.schedule.model import Collective, CommOp, Schedule
-from repro.errors import ReproError
+from repro.analyze.schedule.model import (
+    COLLECTIVE_KINDS,
+    Collective,
+    CommOp,
+    Schedule,
+    fifo_match,
+)
+from repro.errors import ReproError, StallError, describe_cycle
+from repro.obs.context import Observability
 from repro.simulate.engine import Engine
 from repro.simulate.events import (
     Allreduce,
     Barrier,
-    BlockUntil,
-    Compute,
     Irecv,
     Isend,
-    Now,
     Recv,
     Reduce,
     RouteSend,
@@ -51,7 +62,7 @@ from repro.simulate.events import (
 )
 from repro.simulate.phantom import nbytes_of
 
-#: generous per-extraction op budget (boundedness guarantee)
+#: generous per-extraction engine-event budget (boundedness guarantee)
 DEFAULT_MAX_OPS = 2_000_000
 
 #: innermost-frame locals worth snapshotting into op context
@@ -60,8 +71,6 @@ _CONTEXT_KEYS = (
     "step", "seg", "nxt", "dst", "src", "root", "owner",
 )
 
-_READY, _BLOCKED_RECV, _BLOCKED_COLL, _DONE, _FAILED = range(5)
-
 
 class ExtractionError(ReproError):
     """A rank program failed (or exploded) during schedule extraction."""
@@ -69,27 +78,53 @@ class ExtractionError(ReproError):
 
 @dataclass
 class DeadlockReport:
-    """A globally-stuck extraction: the counterexample material."""
+    """A stalled extraction: the counterexample material."""
 
+    #: the engine's per-rank diagnosis (:attr:`StallError.blocked`)
     blocked: List[dict]
-    #: wait-for edges rank -> ranks it needs progress from
-    wait_for: Dict[int, List[int]]
+    #: the engine's wait-for cycle (:attr:`StallError.cycle`)
     cycle: List[int]
     #: trailing ops of every blocked rank (the counterexample schedule)
     trail: Dict[int, List[CommOp]]
-    #: pending collectives posted with clashing member lists, if any
-    member_mismatches: List[str] = field(default_factory=list)
+
+    @property
+    def member_mismatches(self) -> List[str]:
+        """Pending collectives whose member lists clash: two incomplete
+        occurrences of the same kind/key whose member sets intersect
+        means the participants disagree on who belongs."""
+        pending = {
+            (info["op"], info["key"], tuple(info["members"]), info["seq"]):
+                info["arrived"]
+            for info in self.blocked if info["state"] == "collective"
+        }
+        keys = list(pending)
+        return [
+            f"collective membership mismatch: {a[0].lower()} key={a[1]!r} "
+            f"posted with members {list(a[2])} by ranks {pending[a]} "
+            f"but with members {list(b[2])} by ranks {pending[b]}"
+            for i, a in enumerate(keys) for b in keys[i + 1:]
+            if a[:2] == b[:2] and a[2] != b[2] and set(a[2]) & set(b[2])
+        ]
 
     def describe(self) -> str:
         """Printable counterexample: wait-for cycle + trailing ops."""
         lines = ["counterexample schedule (deadlock):"]
         if self.cycle:
-            arrow = " -> ".join(f"rank {r}" for r in self.cycle)
-            lines.append(f"  wait-for cycle: {arrow} -> rank {self.cycle[0]}")
+            lines.append(f"  wait-for cycle: {describe_cycle(self.cycle)}")
         for info in self.blocked:
-            rank = info["rank"]
-            lines.append(f"  rank {rank} blocked on {info['what']}")
-            for op in self.trail.get(rank, []):
+            if info["state"] == "recv":
+                what = f"recv from rank {info['src']} tag {info['tag']}"
+            else:
+                missing = [
+                    m for m in info["members"] if m not in info["arrived"]
+                ]
+                what = (
+                    f"{info['op'].lower()} key={info['key']!r} "
+                    f"#{info['seq']} members {info['members']}; "
+                    f"not arrived: {missing}"
+                )
+            lines.append(f"  rank {info['rank']} blocked on {what}")
+            for op in self.trail.get(info["rank"], []):
                 lines.append(f"    {op.describe()}")
         for msg in self.member_mismatches:
             lines.append(f"  {msg}")
@@ -102,7 +137,7 @@ class ExtractionResult:
 
     schedule: Schedule
     deadlock: Optional[DeadlockReport] = None
-    #: (src, dst, wire) messages posted but never received
+    #: (src, dst, wire) channels holding messages posted but never received
     undelivered: List[Tuple[int, int, int]] = field(default_factory=list)
     error: Optional[str] = None
 
@@ -111,6 +146,7 @@ class ExtractionResult:
         return self.deadlock is None and self.error is None
 
 
+@lru_cache(maxsize=None)
 def _shorten(path: str) -> str:
     parts = path.replace("\\", "/").split("/")
     for anchor in ("src", "tests"):
@@ -163,390 +199,115 @@ def _payload_bytes(payload) -> Optional[int]:
         return None
 
 
-class _Rank:
-    __slots__ = ("gen", "status", "value", "block", "seq", "pseudo_clock")
-
-    def __init__(self, gen) -> None:
-        self.gen = gen
-        self.status = _READY
-        self.value: Any = None
-        self.block: Any = None
-        self.seq = 0
-        self.pseudo_clock = 0.0
-
-
-class ScheduleExtractor:
-    """Drives one generator per rank to completion, recording comm ops.
-
-    Matching semantics mirror :class:`repro.simulate.engine.Engine`
-    (the docstrings there are normative); anything the engine would
-    reject — invalid peer ranks, collectives posted by non-members,
-    mis-rooted routes — raises :class:`ExtractionError` here too.
-    """
-
-    def __init__(self, num_ranks: int, meta: Optional[dict] = None,
-                 max_ops: int = DEFAULT_MAX_OPS,
-                 capture_context: bool = True) -> None:
-        self.num_ranks = num_ranks
-        self.max_ops = max_ops
-        self.capture_context = capture_context
-        self.schedule = Schedule(
-            num_ranks=num_ranks, meta=dict(meta or {}),
-            ops=[[] for _ in range(num_ranks)], matches=[],
+def _collectives(schedule: Schedule) -> List[Collective]:
+    """Completed collective occurrences, paired as the engine pairs
+    them: the n-th post of ``(members, key)`` by every member, of one
+    op type."""
+    posted: Dict[Tuple, int] = defaultdict(int)
+    groups: Dict[Tuple, Dict[int, CommOp]] = {}
+    for op in schedule.all_ops():
+        if op.kind in COLLECTIVE_KINDS:
+            nth = (op.rank, op.members, op.key)
+            group = (op.members, op.key, posted[nth], op.kind)
+            groups.setdefault(group, {})[op.rank] = op
+            posted[nth] += 1
+    return [
+        Collective(
+            kind=kind, members=members, key=key, occurrence=occurrence,
+            op_ids=tuple(arrived[r].op_id for r in members),
+            roots=tuple(arrived[r].root for r in members),
         )
-        # engine-mirroring plumbing
-        self._mailbox: Dict[Tuple[int, int, int], deque] = {}
-        self._recv_waiters: Dict[Tuple[int, int, int], deque] = {}
-        self._handles: Dict[int, dict] = {}
-        self._next_handle = 1
-        self._coll_seq: Dict[Tuple[Tuple[int, ...], str], List[int]] = {}
-        self._pending: Dict[Tuple, dict] = {}
-        self._total_ops = 0
+        for (members, key, occurrence, kind), arrived in groups.items()
+        if sorted(arrived) == sorted(members)
+    ]
 
-    # -- op recording -----------------------------------------------------
 
-    def _record(self, rank: int, kind: str, gen, **fields) -> CommOp:
-        st = self._ranks[rank]
-        op = CommOp(
-            rank=rank, seq=len(self.schedule.ops[rank]), kind=kind,
-            sites=_capture_sites(gen),
-            context=_capture_context(gen) if self.capture_context else {},
-            **fields,
-        )
-        self.schedule.ops[rank].append(op)
-        self._total_ops += 1
-        if self._total_ops > self.max_ops:
-            raise ExtractionError(
-                f"extraction exceeded max_ops={self.max_ops}; "
-                "suspected runaway rank program"
-            )
-        return op
-
-    # -- run loop ---------------------------------------------------------
-
-    def run(self, factory: Callable[[int], Any]) -> ExtractionResult:
-        """Drive every rank program to completion or global block."""
-        self._ranks = [_Rank(factory(r)) for r in range(self.num_ranks)]
-        ready = deque(range(self.num_ranks))
-        error: Optional[str] = None
-        try:
-            while ready:
-                rank = ready.popleft()
-                st = self._ranks[rank]
-                # Run-to-block: a rank keeps stepping until it blocks or
-                # finishes.  Matching is interleaving-independent (one
-                # sender per channel; per-channel FIFO), so this order
-                # is as good as the engine's time-ordered one.
-                while st.status == _READY:
-                    self._step(rank, st, ready)
-        except ExtractionError as exc:
-            error = str(exc)
-        except ReproError as exc:
-            error = f"{type(exc).__name__}: {exc}"
-
-        deadlock = None
-        if error is None:
-            stuck = [
-                r for r, st in enumerate(self._ranks) if st.status
-                in (_BLOCKED_RECV, _BLOCKED_COLL)
-            ]
-            if stuck:
-                deadlock = self._diagnose_deadlock(stuck)
-        undelivered = sorted(
-            key for key, box in self._mailbox.items() if box
-        )
-        return ExtractionResult(
-            schedule=self.schedule, deadlock=deadlock,
-            undelivered=undelivered, error=error,
-        )
-
-    def _step(self, rank: int, st: _Rank, ready: deque) -> None:
-        try:
-            op = st.gen.send(st.value)
-        except StopIteration:
-            st.status = _DONE
-            return
-        except ReproError:
-            raise
-        except Exception as exc:  # lint: ignore[hygiene] - wrap rank crashes
-            raise ExtractionError(
-                f"rank {rank} raised {type(exc).__name__}: {exc}"
-            ) from exc
-        st.value = None
-        st.pseudo_clock += 1.0
-        if isinstance(op, Compute):
-            return
-        if isinstance(op, Now):
-            st.value = st.pseudo_clock
-            return
-        if isinstance(op, BlockUntil):
-            return
-        if isinstance(op, Isend):
-            self._do_send(rank, st, op, blocking=False)
-        elif isinstance(op, Send):
-            self._do_send(rank, st, op, blocking=True)
-        elif isinstance(op, Recv):
-            rec = self._record(
-                rank, "recv", st.gen, peer=op.src, wire_tag=op.tag,
-            )
-            self._do_recv(rank, st, op.src, op.tag, rec, ready)
-        elif isinstance(op, Irecv):
-            rec = self._record(
-                rank, "irecv", st.gen, peer=op.src, wire_tag=op.tag,
-            )
-            h = self._next_handle
-            self._next_handle += 1
-            self._handles[h] = {"type": "irecv", "src": op.src,
-                                "tag": op.tag, "post": rec.op_id}
-            st.value = h
-        elif isinstance(op, Wait):
-            self._do_wait(rank, st, op.handle, ready)
-        elif isinstance(op, RouteSend):
-            self._do_route(rank, st, op, ready)
-        elif isinstance(op, (Barrier, Allreduce, Reduce)):
-            self._do_collective(rank, st, op, ready)
-        else:
-            raise ExtractionError(
-                f"rank {rank} yielded unsupported op {type(op).__name__}"
-            )
-
-    # -- point to point ---------------------------------------------------
-
-    def _check_peer(self, rank: int, peer: int, verb: str) -> None:
-        if not 0 <= peer < self.num_ranks:
-            raise ExtractionError(
-                f"rank {rank} {verb} invalid rank {peer}"
-            )
-
-    def _do_send(self, rank: int, st: _Rank, op, blocking: bool) -> None:
-        self._check_peer(rank, op.dst, "sent to")
-        payload = op.payload
-        if isinstance(payload, np.ndarray):
-            payload = payload.copy()
-        rec = self._record(
-            rank, "send" if blocking else "isend", st.gen,
-            peer=op.dst, wire_tag=op.tag, nbytes=_payload_bytes(payload),
-        )
-        self._deliver((rank, op.dst, op.tag), payload, rec.op_id)
-        if not blocking:
-            h = self._next_handle
-            self._next_handle += 1
-            self._handles[h] = {"type": "isend"}
-            st.value = h
-
-    def _deliver(self, key, payload, send_id) -> None:
-        waiters = self._recv_waiters.get(key)
-        if waiters:
-            waiting_rank, recv_id, ready = waiters.popleft()
-            self.schedule.matches.append((send_id, recv_id))
-            wst = self._ranks[waiting_rank]
-            wst.status = _READY
-            wst.value = payload
-            wst.block = None
-            ready.append(waiting_rank)
-        else:
-            self._mailbox.setdefault(key, deque()).append((payload, send_id))
-
-    def _do_recv(self, rank, st, src, tag, rec: CommOp, ready) -> None:
-        self._check_peer(rank, src, "receives from")
-        key = (src, rank, tag)
-        box = self._mailbox.get(key)
-        if box:
-            payload, send_id = box.popleft()
-            self.schedule.matches.append((send_id, rec.op_id))
-            st.value = payload
-        else:
-            st.status = _BLOCKED_RECV
-            st.block = key
-            self._recv_waiters.setdefault(key, deque()).append(
-                (rank, rec.op_id, ready)
-            )
-
-    def _do_wait(self, rank, st, handle, ready) -> None:
-        info = self._handles.pop(handle, None)
-        if info is None:
-            raise ExtractionError(
-                f"rank {rank} waited on unknown handle {handle}"
-            )
-        if info["type"] == "isend":
-            return
+def _comm_fields(op, irecvs: Dict[int, CommOp]) -> Optional[dict]:
+    """The :class:`CommOp` fields of one yielded op (None: no comm)."""
+    kind = type(op)
+    name = kind.__name__.lower()
+    if kind in (Send, Isend):
+        return dict(kind=name, peer=op.dst, wire_tag=op.tag,
+                    nbytes=_payload_bytes(op.payload))
+    if kind in (Recv, Irecv):
+        return dict(kind=name, peer=op.src, wire_tag=op.tag)
+    if kind is Wait:
         # Completing an irecv is where the data actually lands, so the
-        # completion gets its own op — happens-before consumes here,
-        # not at the post.
-        rec = self._record(
-            rank, "recv", st.gen, peer=info["src"], wire_tag=info["tag"],
+        # completion gets its own op — happens-before consumes here, not
+        # at the post.  An isend's completion moves nothing.
+        posted = irecvs.pop(op.handle, None)
+        if posted is None:
+            return None
+        return dict(kind="recv", peer=posted.peer, wire_tag=posted.wire_tag)
+    if kind is RouteSend:
+        return dict(
+            kind="bcast_start", root=op.spec.root, wire_tag=op.tag,
+            nbytes=_payload_bytes(op.payload),
+            edges=tuple(tuple(e) for e in op.spec.edges),
+            segments=op.spec.segments,
         )
-        self._do_recv(rank, st, info["src"], info["tag"], rec, ready)
-
-    def _do_route(self, rank, st, op: RouteSend, ready) -> None:
-        spec = op.spec
-        if rank != spec.root:
-            raise ExtractionError(
-                f"rank {rank} initiated a route rooted at {spec.root}"
-            )
-        payload = op.payload
-        if isinstance(payload, np.ndarray):
-            payload = payload.copy()
-        rec = self._record(
-            rank, "bcast_start", st.gen, root=spec.root, wire_tag=op.tag,
-            nbytes=_payload_bytes(payload),
-            edges=tuple(tuple(e) for e in spec.edges),
-            segments=spec.segments,
-        )
-        for src, dst in spec.edges:
-            if not (0 <= src < self.num_ranks and 0 <= dst < self.num_ranks):
-                raise ExtractionError(
-                    f"route edge ({src}, {dst}) outside world of "
-                    f"{self.num_ranks} ranks"
-                )
-        for dst in {d for _s, d in spec.edges}:
-            self._deliver((spec.root, dst, op.tag), payload, rec.op_id)
-        st.value = st.pseudo_clock
-
-    # -- collectives ------------------------------------------------------
-
-    def _do_collective(self, rank, st, op, ready) -> None:
-        members = tuple(op.members)
-        if rank not in members:
-            raise ExtractionError(
-                f"rank {rank} posted a collective it is not a member of"
-            )
-        kind = type(op).__name__.lower()
-        rec = self._record(
-            rank, kind, st.gen, members=members, key=op.key,
+    if kind in (Barrier, Allreduce, Reduce):
+        return dict(
+            kind=name, members=tuple(op.members), key=op.key,
             root=getattr(op, "root", None),
             nbytes=_payload_bytes(getattr(op, "payload", None)),
         )
-        seq_key = (members, op.key)
-        seqs = self._coll_seq.setdefault(seq_key, [0] * self.num_ranks)
-        seq = seqs[rank]
-        seqs[rank] += 1
-        pend_key = (members, op.key, seq, type(op).__name__)
-        pend = self._pending.setdefault(
-            pend_key, {"members": members, "arrived": {}}
-        )
-        payload = getattr(op, "payload", None)
-        if isinstance(payload, np.ndarray):
-            payload = payload.copy()
-        pend["arrived"][rank] = (payload, op, rec.op_id)
-        st.status = _BLOCKED_COLL
-        st.block = pend_key
-        if len(pend["arrived"]) == len(members):
-            self._finish_collective(pend_key, pend, ready)
-
-    def _finish_collective(self, pend_key, pend, ready) -> None:
-        del self._pending[pend_key]
-        members, key, occurrence, op_name = pend_key
-        arrived = pend["arrived"]
-        example_op = next(iter(arrived.values()))[1]
-        if op_name == "Barrier":
-            results = {r: None for r in members}
-        else:
-            payloads = [arrived[r][0] for r in members]
-            reduced = Engine._reduce_payloads(payloads)
-            if op_name == "Allreduce":
-                results = {r: reduced for r in members}
-            else:
-                root = example_op.root
-                if root not in members:
-                    raise ExtractionError(
-                        f"reduce root {root} not in members {members}"
-                    )
-                results = {
-                    r: (reduced if r == root else None) for r in members
-                }
-        self.schedule.collectives.append(Collective(
-            kind=op_name.lower(), members=members, key=key,
-            occurrence=occurrence,
-            op_ids=tuple(arrived[r][2] for r in members),
-            roots=tuple(
-                getattr(arrived[r][1], "root", None) for r in members
-            ),
-        ))
-        for r in members:
-            st = self._ranks[r]
-            st.status = _READY
-            st.value = results[r]
-            st.block = None
-            ready.append(r)
-
-    # -- deadlock diagnosis ----------------------------------------------
-
-    def _diagnose_deadlock(self, stuck: List[int]) -> DeadlockReport:
-        blocked: List[dict] = []
-        wait_for: Dict[int, List[int]] = {}
-        trail: Dict[int, List[CommOp]] = {}
-        for rank in stuck:
-            st = self._ranks[rank]
-            if st.status == _BLOCKED_RECV:
-                src, _dst, wire = st.block
-                what = f"recv from rank {src} tag {wire}"
-                wait_for[rank] = [src]
-            else:
-                members, key, occurrence, op_name = st.block
-                pend = self._pending.get(st.block, {"arrived": {}})
-                missing = [m for m in members if m not in pend["arrived"]]
-                what = (
-                    f"{op_name.lower()} key={key!r} #{occurrence} "
-                    f"members {list(members)}; not arrived: {missing}"
-                )
-                wait_for[rank] = missing
-            blocked.append({"rank": rank, "what": what})
-            trail[rank] = self.schedule.ops[rank][-3:]
-        cycle = _find_cycle(wait_for)
-        mismatches = self._collective_mismatches()
-        return DeadlockReport(
-            blocked=blocked, wait_for=wait_for, cycle=cycle, trail=trail,
-            member_mismatches=mismatches,
-        )
-
-    def _collective_mismatches(self) -> List[str]:
-        """Pending collectives whose member lists clash: two incomplete
-        occurrences of the same kind/key whose member sets intersect
-        means the participants disagree on who belongs."""
-        out = []
-        pend_keys = list(self._pending)
-        for i, a in enumerate(pend_keys):
-            for b in pend_keys[i + 1:]:
-                if a[3] != b[3] or a[1] != b[1]:
-                    continue
-                if a[0] != b[0] and set(a[0]) & set(b[0]):
-                    out.append(
-                        f"collective membership mismatch: {a[3].lower()} "
-                        f"key={a[1]!r} posted with members {list(a[0])} "
-                        f"by ranks {sorted(self._pending[a]['arrived'])} "
-                        f"but with members {list(b[0])} by ranks "
-                        f"{sorted(self._pending[b]['arrived'])}"
-                    )
-        return out
+    return None  # Compute, Now, BlockUntil
 
 
-def _find_cycle(wait_for: Dict[int, List[int]]) -> List[int]:
-    """One cycle in the wait-for graph, if any (DFS with colouring)."""
-    WHITE, GREY, BLACK = 0, 1, 2
-    colour = {r: WHITE for r in wait_for}
-    stack: List[int] = []
+def _extract(engine: Engine, factory: Callable[[int], Any],
+             meta: Optional[dict]) -> ExtractionResult:
+    """Run ``factory``'s rank programs on ``engine``, recording every
+    comm op as its rank yields it."""
+    n = engine.num_ranks
+    schedule = Schedule(
+        num_ranks=n, meta=dict(meta or {}), ops=[[] for _ in range(n)],
+    )
+    irecvs: Dict[int, CommOp] = {}  # engine handle of an Irecv -> its post
 
-    def visit(r: int) -> Optional[List[int]]:
-        colour[r] = GREY
-        stack.append(r)
-        for nxt in wait_for.get(r, ()):
-            if colour.get(nxt, BLACK) == GREY:
-                return stack[stack.index(nxt):]
-            if colour.get(nxt) == WHITE:
-                found = visit(nxt)
-                if found:
-                    return found
-        colour[r] = BLACK
-        stack.pop()
-        return None
+    def recorded(rank: int, gen):
+        ops = schedule.ops[rank]
+        value = None
+        while True:
+            try:
+                op = gen.send(value)
+            except StopIteration as stop:
+                return stop.value
+            except ReproError:
+                raise
+            except Exception as exc:  # lint: ignore[hygiene] - wrap rank crashes
+                raise ExtractionError(
+                    f"rank {rank} raised {type(exc).__name__}: {exc}"
+                ) from exc
+            fields = _comm_fields(op, irecvs)
+            if fields is not None:
+                ops.append(CommOp(
+                    rank=rank, seq=len(ops), sites=_capture_sites(gen),
+                    context=_capture_context(gen), **fields,
+                ))
+            value = yield op
+            if type(op) is Irecv:
+                irecvs[value] = ops[-1]
 
-    for r in list(wait_for):
-        if colour[r] == WHITE:
-            found = visit(r)
-            if found:
-                return found
-    return []
+    deadlock: Optional[DeadlockReport] = None
+    error: Optional[str] = None
+    try:
+        engine.run(lambda rank: recorded(rank, factory(rank)))
+    except StallError as exc:
+        deadlock = DeadlockReport(exc.blocked, exc.cycle, trail={
+            info["rank"]: schedule.ops[info["rank"]][-3:]
+            for info in exc.blocked
+        })
+    except ExtractionError as exc:
+        error = str(exc)
+    except ReproError as exc:
+        error = f"{type(exc).__name__}: {exc}"
+    schedule.matches, unmatched_sends, _ = fifo_match(schedule)
+    schedule.collectives = _collectives(schedule)
+    return ExtractionResult(
+        schedule=schedule, deadlock=deadlock,
+        undelivered=sorted(unmatched_sends), error=error,
+    )
 
 
 # -- program builders -----------------------------------------------------
@@ -647,8 +408,10 @@ def extract_config(cfg, program: str = "hplai",
     flow: the one extracted schedule covers every run of this shape);
     ``hpl`` runs the real pivoted-LU executors on a deterministic
     pivot-exercising matrix (its comm schedule is data-dependent).
+    The engine is set up as for a simulated run of ``cfg``;
+    ``max_ops`` bounds its event count.
     """
-    from repro.core.driver import rank_factory
+    from repro.core.driver import make_engine, rank_factory
 
     if program == "hplai":
         from repro.core.executors import PhantomExecutor as make_executor
@@ -667,10 +430,8 @@ def extract_config(cfg, program: str = "hplai",
         "lookahead": cfg.lookahead,
     }
     base_meta.update(meta or {})
-    extractor = ScheduleExtractor(
-        cfg.num_ranks, meta=base_meta, max_ops=max_ops,
-    )
-    return extractor.run(rank_factory(cfg, make_executor))
+    engine = make_engine(cfg, Observability.disabled(), max_events=max_ops)
+    return _extract(engine, rank_factory(cfg, make_executor), base_meta)
 
 
 def extract_case(case: ScheduleCase,
@@ -685,7 +446,13 @@ def extract_case(case: ScheduleCase,
 def extract_factory(num_ranks: int, factory: Callable[[int], Any],
                     meta: Optional[dict] = None,
                     max_ops: int = DEFAULT_MAX_OPS) -> ExtractionResult:
-    """Extract the schedule of arbitrary rank-program generators."""
-    return ScheduleExtractor(num_ranks, meta=meta, max_ops=max_ops).run(
-        factory
+    """Extract the schedule of arbitrary rank-program generators, run on
+    the Summit preset with one rank per node."""
+    from repro.machine import get_machine
+    from repro.machine.topology import CommCosts
+
+    engine = Engine(
+        num_ranks, CommCosts(get_machine("summit")),
+        obs=Observability.disabled(), max_events=max_ops,
     )
+    return _extract(engine, factory, meta)

@@ -38,13 +38,13 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.analyze.schedule.model import (
     COLLECTIVE_KINDS,
+    Channel,
     CommOp,
-    P2P_SEND_KINDS,
+    OpId,
     Schedule,
+    channel_of,
+    fifo_match,
 )
-
-OpId = Tuple[int, int]
-Channel = Tuple[int, int, int]
 
 
 @dataclass
@@ -109,51 +109,6 @@ def _logical_site(op: CommOp) -> Optional[Tuple[str, str]]:
         file, _line, fn = op.sites[-1]
         return (file, fn)
     return None
-
-
-def _send_channel(op: CommOp) -> Optional[Channel]:
-    if op.kind in P2P_SEND_KINDS:
-        return (op.rank, op.peer, op.wire_tag)
-    return None
-
-
-def _recv_channel(op: CommOp) -> Optional[Channel]:
-    if op.kind == "recv":
-        return (op.peer, op.rank, op.wire_tag)
-    return None
-
-
-def _static_matches(schedule: Schedule) -> Tuple[
-    List[Tuple[OpId, OpId]], List[OpId], List[OpId]
-]:
-    """FIFO matching for hand-written schedules: k-th send on a channel
-    pairs with the k-th recv on it.  This is exactly the engine's
-    matching discipline (per-channel FIFO mailboxes), so a hand-written
-    fixture is checked under the same semantics as an extracted one.
-    Returns (matches, orphan_sends, orphan_recvs).  ``irecv`` post ops
-    are informational (the completion ``recv`` carries the match)."""
-    sends: Dict[Channel, deque] = defaultdict(deque)
-    recvs: Dict[Channel, deque] = defaultdict(deque)
-    for op in schedule.all_ops():
-        ch = _send_channel(op)
-        if ch is not None:
-            sends[ch].append(op.op_id)
-        elif op.kind == "bcast_start" and op.edges:
-            for dst in sorted({d for _s, d in op.edges}):
-                sends[(op.root, dst, op.wire_tag)].append(op.op_id)
-        ch = _recv_channel(op)
-        if ch is not None:
-            recvs[ch].append(op.op_id)
-    matches: List[Tuple[OpId, OpId]] = []
-    orphan_sends: List[OpId] = []
-    orphan_recvs: List[OpId] = []
-    for ch in set(sends) | set(recvs):
-        s, r = sends.get(ch, deque()), recvs.get(ch, deque())
-        while s and r:
-            matches.append((s.popleft(), r.popleft()))
-        orphan_sends.extend(s)
-        orphan_recvs.extend(r)
-    return matches, sorted(orphan_sends), sorted(orphan_recvs)
 
 
 class _HbGraph:
@@ -255,28 +210,12 @@ def analyze_schedule(schedule: Schedule,
     report = HbReport(label=schedule.label())
     findings = report.findings
 
-    if schedule.matches is not None:
-        matches = list(schedule.matches)
-        matched_sends = {s for s, _ in matches}
-        matched_recvs = {r for _, r in matches}
-        orphan_sends = [
-            op.op_id for op in schedule.all_ops()
-            if (op.kind in P2P_SEND_KINDS or op.kind == "bcast_start")
-            and op.op_id not in matched_sends
-            # a zero-edge broadcast (single-member group: the root IS
-            # the group, e.g. IR column bcasts on a 1-row grid) moves
-            # no data and is trivially delivered
-            and not (op.kind == "bcast_start" and not op.edges)
-        ]
-        # routed bcast_start ops match once per destination; only a
-        # fully-unmatched one is an orphan, which the set logic above
-        # already expresses.
-        orphan_recvs = [
-            op.op_id for op in schedule.all_ops()
-            if op.kind == "recv" and op.op_id not in matched_recvs
-        ]
-    else:
-        matches, orphan_sends, orphan_recvs = _static_matches(schedule)
+    # One matching rule for extracted and hand-written schedules alike:
+    # the engine's per-channel FIFO discipline, in sorted order, so the
+    # findings never depend on the order the ranks ran in.
+    matches, unsent, unreceived = fifo_match(schedule)
+    orphan_sends = sorted({o for ids in unsent.values() for o in ids})
+    orphan_recvs = sorted({o for ids in unreceived.values() for o in ids})
 
     for op_id in orphan_sends:
         op = schedule.op(op_id)
@@ -314,11 +253,7 @@ def analyze_schedule(schedule: Schedule,
         "ranks": schedule.num_ranks,
         "ops": schedule.num_ops,
         "matches": len(matches),
-        "channels": len({
-            _send_channel(schedule.op(s)) or
-            (_recv_channel(schedule.op(r)))
-            for s, r in matches
-        }),
+        "channels": len({channel_of(schedule.op(r)) for _s, r in matches}),
         "collectives": len(schedule.collectives),
         "hb_nodes": len(graph.nodes),
         "hb_edges": sum(len(v) for v in graph.adj.values()),
@@ -398,10 +333,7 @@ def _check_races(schedule: Schedule, matches: Sequence[Tuple[OpId, OpId]],
     by_channel: Dict[Channel, List[OpId]] = defaultdict(list)
     seen: Dict[Channel, Set[OpId]] = defaultdict(set)
     for send_id, recv_id in matches:
-        recv = schedule.op(recv_id)
-        ch = _recv_channel(recv)
-        if ch is None:
-            continue
+        ch = channel_of(schedule.op(recv_id))
         recv_of[(send_id, ch)] = recv_id
         if send_id not in seen[ch]:
             seen[ch].add(send_id)

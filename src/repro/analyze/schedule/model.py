@@ -3,9 +3,10 @@
 A :class:`Schedule` is the whole-program artifact the verifier reasons
 about: one :class:`CommOp` per communication event a rank program
 posted, in per-rank program order, plus the send→recv matching and the
-collective occurrences observed while extracting it.  Hand-written
-schedules (the known-deadlock / known-race fixtures) construct the same
-model directly, so the happens-before checks in
+completed collective occurrences.  Hand-written schedules (the
+known-deadlock / known-race fixtures) construct the same model
+directly, and both kinds are matched by the one per-channel FIFO rule
+(:func:`fifo_match`), so the happens-before checks in
 :mod:`repro.analyze.schedule.hb` apply identically to extracted and
 synthetic schedules.
 
@@ -16,6 +17,7 @@ counterexample prints ``panel_bcast step 3`` instead of a bare integer.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
@@ -26,6 +28,9 @@ P2P_SEND_KINDS = ("send", "isend")
 P2P_RECV_KINDS = ("recv", "irecv")
 COLLECTIVE_KINDS = ("barrier", "allreduce", "reduce")
 KINDS = P2P_SEND_KINDS + P2P_RECV_KINDS + ("bcast_start",) + COLLECTIVE_KINDS
+
+OpId = Tuple[int, int]
+Channel = Tuple[int, int, int]
 
 
 @dataclass
@@ -178,9 +183,9 @@ class Schedule:
     meta: Dict[str, Any] = field(default_factory=dict)
     #: per-rank op lists in program order
     ops: List[List[CommOp]] = field(default_factory=list)
-    #: send→recv matching observed during extraction:
+    #: send→recv matching filled in by extraction (:func:`fifo_match`):
     #: [(send_op_id, recv_op_id), ...]; None for hand-written schedules
-    matches: Optional[List[Tuple[Tuple[int, int], Tuple[int, int]]]] = None
+    matches: Optional[List[Tuple[OpId, OpId]]] = None
     #: completed collective occurrences
     collectives: List[Collective] = field(default_factory=list)
 
@@ -279,4 +284,42 @@ def route_channels(op: CommOp) -> List[Tuple[int, int, int]]:
         return []
     dsts = {dst for _src, dst in op.edges}
     return [(op.root, dst, op.wire_tag) for dst in sorted(dsts)]
-    # type: ignore[list-item]
+
+
+def fifo_match(schedule: Schedule) -> Tuple[
+    List[Tuple[OpId, OpId]], Dict[Channel, List[OpId]],
+    Dict[Channel, List[OpId]],
+]:
+    """Per-channel FIFO matching: the k-th send on a channel pairs with
+    the k-th recv on it.
+
+    This is the engine's matching discipline (FIFO mailboxes keyed
+    ``(src, dst, wire)``), and it is interleaving-independent: a channel
+    has one sender and one receiver, each posting in program order, so
+    the pairing never depends on when either side ran.  Routed
+    broadcasts send on every destination's channel (a zero-edge one, a
+    single-member group, sends on none); ``irecv`` posts are
+    informational (the completion ``recv`` drains the channel).  Returns
+    ``(matches, unmatched_sends, unmatched_recvs)`` with matches sorted
+    and the leftovers keyed by channel."""
+    sends: Dict[Channel, List[OpId]] = defaultdict(list)
+    recvs: Dict[Channel, List[OpId]] = defaultdict(list)
+    for op in schedule.all_ops():
+        if op.kind in P2P_SEND_KINDS:
+            sends[channel_of(op)].append(op.op_id)  # type: ignore[index]
+        elif op.kind == "bcast_start":
+            for ch in route_channels(op):
+                sends[ch].append(op.op_id)
+        elif op.kind == "recv":
+            recvs[channel_of(op)].append(op.op_id)  # type: ignore[index]
+    matches: List[Tuple[OpId, OpId]] = []
+    unmatched_sends: Dict[Channel, List[OpId]] = {}
+    unmatched_recvs: Dict[Channel, List[OpId]] = {}
+    for ch in set(sends) | set(recvs):
+        s, r = sends.get(ch, []), recvs.get(ch, [])
+        matches.extend(zip(s, r))
+        if len(s) > len(r):
+            unmatched_sends[ch] = s[len(r):]
+        elif len(r) > len(s):
+            unmatched_recvs[ch] = r[len(s):]
+    return sorted(matches), unmatched_sends, unmatched_recvs

@@ -91,22 +91,29 @@ def rank_factory(cfg: BenchmarkConfig, make_executor, trace=None):
     return factory
 
 
-def _run_ranks(cfg: BenchmarkConfig, make_executor, obs, trace=None,
-               **engine_plans) -> EngineResult:
-    """The one engine set-up: cost model and engine for ``cfg`` (plus the
-    scenario's ``rate_multipliers`` / ``rate_plan`` / ``link_plan``), then
-    :func:`rank_factory`'s program on every rank."""
+def make_engine(cfg: BenchmarkConfig, obs, **engine_kw) -> Engine:
+    """The one engine set-up: cost model and engine for ``cfg``, plus
+    any further :class:`Engine` keywords (the scenario's
+    ``rate_multipliers`` / ``rate_plan`` / ``link_plan``, or
+    ``max_events``)."""
     costs = CommCosts(
         cfg.machine, port_binding=cfg.port_binding, gpu_aware=cfg.gpu_aware
     )
-    engine = Engine(
+    return Engine(
         cfg.num_ranks,
         costs,
         node_of_rank=cfg.node_grid.node_of_rank,
         mpi=cfg.machine.mpi,
         obs=obs,
-        **engine_plans,
+        **engine_kw,
     )
+
+
+def _run_ranks(cfg: BenchmarkConfig, make_executor, obs, trace=None,
+               **engine_plans) -> EngineResult:
+    """:func:`make_engine` for ``cfg``, then :func:`rank_factory`'s
+    program on every rank."""
+    engine = make_engine(cfg, obs, **engine_plans)
     # Install the handle for the duration of the run so instrumentation
     # points that read the process-wide handle (executors, comm facade)
     # land in the same tracer/registry the engine was given.

@@ -17,20 +17,12 @@ class ConfigurationError(ReproError, ValueError):
     """An invalid parameter combination (grid, block size, machine spec...)."""
 
 
-class DistributionError(ConfigurationError):
-    """A matrix cannot be distributed over the requested process grid."""
-
-
 class NumericsError(ReproError, ArithmeticError):
     """Base class for numerical failures during factorization/refinement."""
 
 
 class SingularMatrixError(NumericsError):
     """A (near-)zero pivot was encountered during unpivoted factorization."""
-
-
-class ConvergenceError(NumericsError):
-    """Iterative refinement failed to reach the HPL-AI tolerance."""
 
 
 class PrecisionError(NumericsError):
@@ -59,10 +51,6 @@ class RankError(CommunicationError):
     """A rank index was outside the communicator."""
 
 
-class MessageTypeError(CommunicationError):
-    """A receive buffer did not match the incoming message payload."""
-
-
 class DeadlockError(CommunicationError):
     """The SPMD scheduler detected that no rank can make progress."""
 
@@ -84,22 +72,48 @@ class StallError(DeadlockError):
         message: str,
         blocked: "list[dict] | None" = None,
         elapsed: float | None = None,
+        cycle: "list[int] | None" = None,
     ) -> None:
         super().__init__(message)
         #: per-rank block diagnosis dicts (``rank``, ``state``, and the
         #: op-specific fields: ``src``/``dst``/``tag``/``phase``/``step``
-        #: for receives, ``members``/``key``/``op`` for collectives)
+        #: for receives, ``members``/``key``/``op``/``seq``/``arrived``
+        #: for collectives)
         self.blocked = list(blocked or [])
         #: virtual clock at diagnosis time, if known
         self.elapsed = elapsed
+        #: ranks on one wait-for cycle (each waits on the next, the last
+        #: on the first); empty when the stall has no cycle
+        self.cycle = list(cycle or [])
+
+
+def describe_blocked(info: dict) -> str:
+    """One :attr:`StallError.blocked` dict as a human-readable clause."""
+    rank = info.get("rank")
+    state = info.get("state")
+    if state == "recv":
+        return (
+            f"rank {rank} blocked in recv from rank {info.get('src')} "
+            f"(tag {info.get('tag')}, phase {info.get('phase')}"
+            + (f", step {info['step']}" if info.get("step") is not None else "")
+            + ")"
+        )
+    if state == "collective":
+        return (
+            f"rank {rank} blocked in {info.get('op')} "
+            f"'{info.get('key')}' with members {info.get('members')} "
+            f"(arrived: {info.get('arrived')})"
+        )
+    return f"rank {rank} blocked ({state})"
+
+
+def describe_cycle(cycle: "list[int]") -> str:
+    """A wait-for cycle as ``rank a -> rank b -> rank a``."""
+    return " -> ".join(f"rank {r}" for r in [*cycle, cycle[0]])
 
 
 class SimulationError(ReproError, RuntimeError):
     """Base class for discrete-event simulator faults."""
-
-
-class ResourceError(SimulationError):
-    """A simulated resource (GPU stream, NIC) was misused."""
 
 
 class EarlyTerminationError(SimulationError):

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional
 
-from repro.errors import ConfigurationError, StallError
+from repro.errors import ConfigurationError, StallError, describe_blocked
 from repro.obs.health.series import SeriesBank
 
 #: default deadline inflation over the analytic model — generous enough
@@ -85,7 +85,7 @@ class RunWatchdog:
         self.tripped = True
         blocked = _blocked_of(engine)
         detail = "; ".join(
-            _describe(info) for info in blocked[:8]
+            describe_blocked(info) for info in blocked[:8]
         ) or "no rank currently blocked (livelock suspected)"
         raise StallError(
             f"watchdog: {phase} exceeded its deadline "
@@ -126,22 +126,3 @@ def _blocked_of(engine) -> List[dict]:
     fn = getattr(engine, "blocked_ranks", None)
     return fn() if callable(fn) else []
 
-
-def _describe(info: dict) -> str:
-    """One blocked rank as a human-readable clause."""
-    rank = info.get("rank")
-    state = info.get("state")
-    if state == "recv":
-        return (
-            f"rank {rank} blocked in recv from rank {info.get('src')} "
-            f"(tag {info.get('tag')}, phase {info.get('phase')}"
-            + (f", step {info['step']}" if info.get("step") is not None else "")
-            + ")"
-        )
-    if state == "collective":
-        return (
-            f"rank {rank} blocked in {info.get('op')} "
-            f"'{info.get('key')}' with members {info.get('members')} "
-            f"(arrived: {info.get('arrived')})"
-        )
-    return f"rank {rank} blocked ({state})"

@@ -36,7 +36,12 @@ from typing import (
 
 import numpy as np
 
-from repro.errors import SimulationError, StallError
+from repro.errors import (
+    SimulationError,
+    StallError,
+    describe_blocked,
+    describe_cycle,
+)
 from repro.machine.spec import MpiModel
 from repro.machine.topology import CommCosts
 from repro.obs import context as obs_context
@@ -299,15 +304,20 @@ class Engine:
 
         not_done = [r for r, st in enumerate(self._ranks) if st.status != _DONE]
         if not_done:
-            details = ", ".join(
-                f"rank {r}: {self._describe_block(self._ranks[r])}"
+            blocked = self.blocked_ranks()
+            cycle = _wait_for_cycle(blocked)
+            details = "; ".join(
+                describe_blocked(self._block_info(r, self._ranks[r]))
                 for r in not_done[:8]
             )
+            if cycle:
+                details = f"wait-for cycle: {describe_cycle(cycle)}; {details}"
             raise StallError(
                 f"{len(not_done)} rank(s) blocked with no progress possible "
                 f"({details})",
-                blocked=self.blocked_ranks(),
+                blocked=blocked,
                 elapsed=max(st.clock for st in self._ranks),
+                cycle=cycle,
             )
         elapsed = max(st.clock for st in self._ranks)
         return EngineResult(
@@ -730,14 +740,6 @@ class Engine:
 
     # -- diagnostics ----------------------------------------------------------
 
-    def _describe_block(self, st: _RankState) -> str:
-        names = {
-            _BLOCKED_RECV: f"recv on (src, dst, tag)={st.block_key}",
-            _BLOCKED_COLL: f"collective {st.block_key}",
-            _READY: "ready (scheduler bug)",
-        }
-        return names.get(st.status, "unknown")
-
     def _block_info(self, rank: int, st: _RankState) -> dict:
         """Structured diagnosis of one blocked rank (for StallError)."""
         info: dict = {"rank": rank, "clock": st.clock}
@@ -784,3 +786,39 @@ class Engine:
             for r, st in enumerate(getattr(self, "_ranks", []))
             if st.status in blocked_states
         ]
+
+
+def _wait_for_cycle(blocked: List[dict]) -> List[int]:
+    """One cycle in the wait-for graph of a stall, if any.
+
+    A blocked recv waits on its ``src``; a blocked collective waits on
+    the members that have not arrived; a finished rank waits on
+    nothing.  Ranks are searched in ``blocked`` order."""
+    wait_for: Dict[int, List[int]] = {}
+    for info in blocked:
+        if info["state"] == "recv":
+            wait_for[info["rank"]] = [info["src"]]
+        elif info["state"] == "collective":
+            wait_for[info["rank"]] = [
+                m for m in info["members"] if m not in info["arrived"]
+            ]
+    # iterative DFS: a stalled run can block thousands of ranks in one
+    # chain, deeper than Python's recursion limit
+    on_path: Dict[int, bool] = {}  # rank -> still on the DFS path
+    for root in wait_for:
+        if root in on_path:
+            continue
+        path, todo = [root], [iter(wait_for[root])]
+        on_path[root] = True
+        while path:
+            nxt = next(todo[-1], None)
+            if nxt is None:
+                on_path[path.pop()] = False
+                todo.pop()
+            elif on_path.get(nxt):
+                return path[path.index(nxt):]
+            elif nxt in wait_for and nxt not in on_path:
+                on_path[nxt] = True
+                path.append(nxt)
+                todo.append(iter(wait_for[nxt]))
+    return []

@@ -95,6 +95,9 @@ class TestStallErrorFromEngine:
         # wire tag 40 decodes to a named phase and step
         assert isinstance(by_rank[0]["phase"], str)
         assert by_rank[0]["step"] == 0
+        # each rank waits on the other: the engine names the cycle
+        assert err.cycle == [0, 1]
+        assert "wait-for cycle: rank 0 -> rank 1 -> rank 0" in str(err)
 
     def test_partial_collective_names_members_and_arrivals(self):
         eng = _engine(3)
@@ -113,6 +116,8 @@ class TestStallErrorFromEngine:
         assert colls[0]["op"] == "Barrier"
         assert colls[0]["members"] == [0, 1, 2]
         assert sorted(colls[0]["arrived"]) == [0, 1]
+        # rank 2 finished, so nothing waits on a blocked rank: no cycle
+        assert err.cycle == []
 
     def test_legacy_deadlock_catch_still_works(self):
         # pre-existing callers catch DeadlockError; the richer StallError

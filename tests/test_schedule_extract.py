@@ -1,4 +1,5 @@
-"""Schedule extraction: the un-timed run-to-block interpreter."""
+"""Schedule extraction: rank programs recorded while the timed engine runs
+them, matched per channel in FIFO order."""
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from repro.analyze.schedule import (
     extract_factory,
 )
 from repro.comm.vmpi import BCAST_ALGORITHMS, RankComm
+from repro.simulate.events import Barrier
 
 
 def _case(**kw):
@@ -99,6 +101,43 @@ class TestDeadlockDiagnosis:
         assert not result.completed
         assert result.deadlock is not None
         assert result.deadlock.member_mismatches
+
+
+def _raises(rank):
+    if rank == 0:
+        raise ValueError("bad panel")
+    yield Barrier((0, 1))
+
+
+def _sends_out_of_range(rank):
+    yield from RankComm(rank).send(5, np.zeros(2), tag=3)
+
+
+def _joins_foreign_collective(rank):
+    yield Barrier((1 - rank,))
+
+
+def _loops_forever(rank):
+    while True:
+        yield Barrier((rank,))
+
+
+class TestExtractionErrorContract:
+    """A broken rank program ends extraction with ``error`` set, never a
+    traceback out of the extractor."""
+
+    @pytest.mark.parametrize("program,needle", [
+        (_raises, "rank 0 raised ValueError: bad panel"),
+        (_sends_out_of_range, "invalid rank 5"),
+        (_joins_foreign_collective, "not a member"),
+        (_loops_forever, "max_"),
+    ])
+    def test_broken_program_reports_error(self, program, needle):
+        result = extract_factory(2, program, meta={"program": "test"},
+                                 max_ops=100)
+        assert result.completed is False
+        assert result.deadlock is None
+        assert result.error and needle in result.error
 
 
 class TestScheduleRoundTrip:
