@@ -65,7 +65,8 @@ def _default_reports():
             if not result.completed:
                 reports.append((case, result, None))
             else:
-                reports.append((case, result, analyze_schedule(result.schedule)))
+                report = analyze_schedule(result.schedule, matching=result.matching)
+                reports.append((case, result, report))
         _memo[key] = reports
     return _memo[key]
 

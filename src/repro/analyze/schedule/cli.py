@@ -100,7 +100,7 @@ def _run_matrix(cases, doc, verbose_print) -> bool:
                 entry["counterexample"] = result.deadlock.describe()
                 verbose_print(result.deadlock.describe())
         else:
-            report = analyze_schedule(result.schedule)
+            report = analyze_schedule(result.schedule, matching=result.matching)
             errors = [f for f in report.findings if f.severity == "error"]
             warnings = [f for f in report.findings if f.severity == "warning"]
             entry.update(report.to_dict())

@@ -43,6 +43,7 @@ from repro.analyze.schedule.model import (
     COLLECTIVE_KINDS,
     Collective,
     CommOp,
+    FifoMatching,
     Schedule,
     fifo_match,
 )
@@ -140,6 +141,9 @@ class ExtractionResult:
     #: (src, dst, wire) channels holding messages posted but never received
     undelivered: List[Tuple[int, int, int]] = field(default_factory=list)
     error: Optional[str] = None
+    #: the schedule's :func:`fifo_match`, computed once for extraction
+    #: and analysis alike
+    matching: Optional[FifoMatching] = None
 
     @property
     def completed(self) -> bool:
@@ -302,11 +306,12 @@ def _extract(engine: Engine, factory: Callable[[int], Any],
         error = str(exc)
     except ReproError as exc:
         error = f"{type(exc).__name__}: {exc}"
-    schedule.matches, unmatched_sends, _ = fifo_match(schedule)
+    matching = fifo_match(schedule)
+    schedule.matches = matching[0]
     schedule.collectives = _collectives(schedule)
     return ExtractionResult(
         schedule=schedule, deadlock=deadlock,
-        undelivered=sorted(unmatched_sends), error=error,
+        undelivered=sorted(matching[1]), error=error, matching=matching,
     )
 
 

@@ -40,6 +40,7 @@ from repro.analyze.schedule.model import (
     COLLECTIVE_KINDS,
     Channel,
     CommOp,
+    FifoMatching,
     OpId,
     Schedule,
     channel_of,
@@ -204,16 +205,22 @@ def _describe_cycle(graph: _HbGraph, cycle: List[object]) -> str:
     return "\n".join(lines)
 
 
-def analyze_schedule(schedule: Schedule,
-                     check_races: bool = True) -> HbReport:
-    """Run every proof obligation against one schedule."""
+def analyze_schedule(schedule: Schedule, check_races: bool = True,
+                     matching: Optional[FifoMatching] = None) -> HbReport:
+    """Run every proof obligation against one schedule.
+
+    ``matching`` is the schedule's :func:`fifo_match` when the caller
+    already has it (extraction computes it); ``None`` computes it here.
+    """
     report = HbReport(label=schedule.label())
     findings = report.findings
 
     # One matching rule for extracted and hand-written schedules alike:
     # the engine's per-channel FIFO discipline, in sorted order, so the
     # findings never depend on the order the ranks ran in.
-    matches, unsent, unreceived = fifo_match(schedule)
+    if matching is None:
+        matching = fifo_match(schedule)
+    matches, unsent, unreceived = matching
     orphan_sends = sorted({o for ids in unsent.values() for o in ids})
     orphan_recvs = sorted({o for ids in unreceived.values() for o in ids})
 

@@ -286,10 +286,15 @@ def route_channels(op: CommOp) -> List[Tuple[int, int, int]]:
     return [(op.root, dst, op.wire_tag) for dst in sorted(dsts)]
 
 
-def fifo_match(schedule: Schedule) -> Tuple[
+#: ``(matches, unmatched_sends, unmatched_recvs)`` as :func:`fifo_match`
+#: returns them
+FifoMatching = Tuple[
     List[Tuple[OpId, OpId]], Dict[Channel, List[OpId]],
     Dict[Channel, List[OpId]],
-]:
+]
+
+
+def fifo_match(schedule: Schedule) -> FifoMatching:
     """Per-channel FIFO matching: the k-th send on a channel pairs with
     the k-th recv on it.
 

@@ -82,7 +82,7 @@ def gmres_refinement_phase(
     engine ops, returns ``{"converged", "iterations"}`` where
     ``iterations`` counts matvec/preconditioner applications.
     """
-    everyone = tuple(range(cfg.num_ranks))
+    everyone = cfg.grid.all_ranks
     secs = ex.ir_setup()
     yield Compute("ir_setup", secs)
 

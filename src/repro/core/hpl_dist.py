@@ -480,7 +480,7 @@ def _pivoted_solve_phase(cfg: BenchmarkConfig, ex: HplExecutor, comm,
 
     Returns ``{"x", "residual_norm", "t_total", ...}`` (exact data).
     """
-    everyone = tuple(range(cfg.num_ranks))
+    everyone = cfg.grid.all_ranks
     b = cfg.block
     yield Barrier(everyone)
     t_fact = yield Now()

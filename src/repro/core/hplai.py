@@ -274,7 +274,7 @@ def hplai_rank_program(
         node_of=cfg.node_grid.node_of_rank,
     )
     comm.allreduce_algorithm = cfg.allreduce_algorithm
-    everyone = tuple(range(cfg.num_ranks))
+    everyone = cfg.grid.all_ranks
 
     secs = ex.fill_local()
     yield Compute("fill", secs)

@@ -86,7 +86,7 @@ def triangular_sweep(
 def refinement_phase(cfg: BenchmarkConfig, ex: ExecutorBase, comm: RankComm):
     """Run iterative refinement to convergence (exact) or to the fixed
     modelled depth (phantom).  Returns ``{"converged", "iterations"}``."""
-    everyone = tuple(range(cfg.num_ranks))
+    everyone = cfg.grid.all_ranks
     secs = ex.ir_setup()
     yield Compute("ir_setup", secs)
 

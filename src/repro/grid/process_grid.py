@@ -76,8 +76,17 @@ class ProcessGrid:
             raise ConfigurationError(f"step index must be >= 0, got {k}")
         return k % self.p_rows, k % self.p_cols
 
-    # Row/column scopes are asked for at every broadcast of every step and
-    # depend on the (frozen) grid alone, so each table is built once.
+    # Member scopes are asked for at every broadcast and collective and
+    # depend on the (frozen) grid alone, so each is built once per grid.
+
+    @cached_property
+    def all_ranks(self) -> Tuple[int, ...]:
+        """Every rank, ascending — the scope of whole-grid collectives.
+
+        Every rank program shares this one tuple, so a run holds one
+        ``P``-long member tuple rather than one per rank.
+        """
+        return tuple(range(self.size))
 
     @cached_property
     def _row_table(self) -> Tuple[Tuple[int, ...], ...]:

@@ -135,6 +135,10 @@ class _RankState:
 class Engine:
     """Runs a set of rank programs to completion over a modelled network.
 
+    The mailbox holds only undelivered messages (a drained channel is
+    dropped), and a blocked rank's ``block_key`` is its waiter record: a
+    delivery on that channel completes the receive directly.
+
     Parameters
     ----------
     num_ranks:
@@ -235,12 +239,12 @@ class Engine:
 
         # message plumbing
         self._mailbox: Dict[Tuple[int, int, int], deque] = defaultdict(deque)
-        self._recv_waiters: Dict[Tuple[int, int, int], deque] = defaultdict(deque)
         self._handles: Dict[int, dict] = {}
         self._next_handle = 1
 
-        # collectives
-        self._coll_seq: Dict[Tuple[Tuple[int, ...], str], List[int]] = {}
+        # collectives: per-rank post counts by (members, key), and the
+        # posts still waiting for members
+        self._coll_seq = defaultdict(lambda: [0] * num_ranks)
         self._pending_coll: Dict[Tuple, PendingCollective] = {}
 
         self.stats = [RankStats() for _ in range(num_ranks)]
@@ -487,9 +491,7 @@ class Engine:
         done, arrival = self._transfer(
             rank, op.dst, nbytes_of(payload), st.clock, op.speed, tag=op.tag
         )
-        key = (rank, op.dst, op.tag)
-        msg = Message(rank, op.dst, op.tag, payload, arrival)
-        self._deliver(key, msg)
+        self._deliver(Message(rank, op.dst, op.tag, payload, arrival))
         if type(op) is Send:
             waited = max(done - st.clock, 0.0)
             if self._emit and waited > 0:
@@ -533,18 +535,16 @@ class Engine:
             if src == spec.root:
                 root_done = max(root_done, done)
             seg_at[dst] = arrivals
-            self._deliver(
-                (spec.root, dst, op.tag),
-                Message(spec.root, dst, op.tag, payload, arrivals[-1]),
-            )
+            self._deliver(Message(spec.root, dst, op.tag, payload, arrivals[-1]))
         st.clock += _POST_OVERHEAD_S
         self.stats[rank].add("comm_post", _POST_OVERHEAD_S)
         self._resume(rank, root_done)
 
-    def _deliver(self, key, msg: Message) -> None:
-        waiters = self._recv_waiters.get(key)
-        if waiters:
-            self._complete_recv(waiters.popleft(), msg)
+    def _deliver(self, msg: Message) -> None:
+        key = (msg.src, msg.dst, msg.tag)
+        st = self._ranks[msg.dst]
+        if st.status == _BLOCKED_RECV and st.block_key == key:
+            self._complete_recv(msg.dst, msg)
         else:
             self._mailbox[key].append(msg)
             if self._health is not None:
@@ -575,13 +575,14 @@ class Engine:
         box = self._mailbox.get(key)
         if box:
             msg = box.popleft()
+            if not box:
+                del self._mailbox[key]
             if self._health is not None:
                 self._inflight_bytes -= int(nbytes_of(msg.payload))
             self._complete_recv(rank, msg)
         else:
             st.status = _BLOCKED_RECV
             st.block_key = key
-            self._recv_waiters[key].append(rank)
 
     def _op_irecv(self, rank: int, st: _RankState, op: Irecv) -> None:
         self._resume(rank, self._new_handle({"type": "irecv", "op": op}))
@@ -611,10 +612,8 @@ class Engine:
             self.stats[rank].add("wait_send", waited)
             st.clock = max(st.clock, done)
             self._resume(rank)
-        elif info["type"] == "irecv":
+        else:  # an Irecv handle
             self._op_recv(rank, st, info["op"])
-        else:  # pragma: no cover - defensive
-            raise SimulationError(f"corrupt handle {info}")
 
     def _new_handle(self, info: dict) -> int:
         h = self._next_handle
@@ -631,7 +630,7 @@ class Engine:
                 f"rank {rank} posted a collective it is not a member of"
             )
         seq_key = (members, op.key)
-        seqs = self._coll_seq.setdefault(seq_key, [0] * self.num_ranks)
+        seqs = self._coll_seq[seq_key]
         seq = seqs[rank]
         seqs[rank] += 1
         pend_key = (members, op.key, seq, type(op).__name__)

@@ -109,6 +109,30 @@ class TestProcessGrid:
         assert g == ProcessGrid(3, 4, order=order)
         assert hash(g) == hash(ProcessGrid(3, 4, order=order))
 
+    def test_all_ranks_is_one_tuple_per_grid(self):
+        g = ProcessGrid(17, 19)
+        assert g.all_ranks == tuple(range(17 * 19))
+        assert g.all_ranks is g.all_ranks
+
+    def test_rank_programs_share_the_all_ranks_tuple(self):
+        from repro.core.config import BenchmarkConfig
+        from repro.core.driver import rank_factory
+        from repro.core.executors import PhantomExecutor
+        from repro.machine import SUMMIT
+        from repro.simulate import Barrier
+
+        cfg = BenchmarkConfig(n=512, block=128, machine=SUMMIT,
+                              p_rows=2, p_cols=2)
+        factory = rank_factory(cfg, PhantomExecutor, None)
+        barriers = []
+        for rank in range(cfg.num_ranks):
+            program = factory(rank)
+            op = next(program)
+            while not isinstance(op, Barrier):
+                op = program.send(None)
+            barriers.append(op)
+        assert all(b.members is cfg.grid.all_ranks for b in barriers)
+
     def test_validation(self):
         with pytest.raises(RankError):
             ProcessGrid(2, 2).coords_of(4)

@@ -30,6 +30,18 @@ class TestHplaiExtraction:
         assert sched.num_ops > 0
         assert sched.matches, "extraction records concrete matches"
 
+    def test_analysis_reuses_the_extracted_matching(self, monkeypatch):
+        import repro.analyze.schedule.hb as hb
+        from repro.analyze.schedule.model import fifo_match
+
+        result = extract_case(_case(bcast="ring2m"))
+        assert result.matching == fifo_match(result.schedule)
+        assert result.matching[0] == result.schedule.matches
+        fresh = analyze_schedule(result.schedule).to_dict()
+        monkeypatch.setattr(hb, "fifo_match", None)  # must not be called
+        reused = analyze_schedule(result.schedule, matching=result.matching)
+        assert reused.to_dict() == fresh
+
     def test_ops_carry_interprocedural_sites(self):
         sched = extract_case(_case()).schedule
         starts = [op for op in sched.all_ops() if op.kind == "bcast_start"]
