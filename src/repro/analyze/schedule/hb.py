@@ -34,6 +34,7 @@ from __future__ import annotations
 
 from collections import defaultdict, deque
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.analyze.schedule.model import (
@@ -127,6 +128,8 @@ class _HbGraph:
                 self._super[op_id] = ("coll", idx)
         self.adj: Dict[object, Set[object]] = defaultdict(set)
         self.nodes: Set[object] = set()
+        #: a topological order, once :meth:`topo_cycle` ran
+        self._order: Optional[List[object]] = None
         for rank_ops in schedule.ops:
             for op in rank_ops:
                 self.nodes.add(self.node(op.op_id))
@@ -151,15 +154,15 @@ class _HbGraph:
             for m in outs:
                 indeg[m] = indeg.get(m, 0) + 1
         queue = deque(n for n, d in indeg.items() if d == 0)
-        seen = 0
+        order = self._order = []
         while queue:
             n = queue.popleft()
-            seen += 1
+            order.append(n)
             for m in self.adj.get(n, ()):
                 indeg[m] -= 1
                 if indeg[m] == 0:
                     queue.append(m)
-        if seen == len(indeg):
+        if len(order) == len(indeg):
             return []
         remaining = {n for n, d in indeg.items() if d > 0}
         # walk successors inside the remaining set until a node repeats
@@ -172,20 +175,40 @@ class _HbGraph:
             n = next(m for m in self.adj.get(n, ()) if m in remaining)
         return path[where[n]:]
 
+    def ops_of(self, node) -> Sequence[OpId]:
+        """The ops a node stands for: one op, or a collective's."""
+        if node[0] == "coll":
+            return self.schedule.collectives[node[1]].op_ids
+        return (node,)
+
+    @cached_property
+    def clocks(self) -> Dict[object, List[int]]:
+        """Per node, the latest program-order index on each rank of an op
+        that is or happens before the node (-1: none), in one pass over
+        a topological order of the graph, which must be acyclic."""
+        if self._order is None:
+            self.topo_cycle()
+        if len(self._order) != len(self.nodes):
+            raise ValueError("happens-before graph has a cycle")
+        clocks: Dict[object, List[int]] = {}
+        for n in self._order:
+            clock = clocks.setdefault(n, [-1] * self.schedule.num_ranks)
+            for rank, index in self.ops_of(n):
+                clock[rank] = max(clock[rank], index)
+            for m in self.adj.get(n, ()):
+                if m in clocks:
+                    clocks[m] = list(map(max, clocks[m], clock))
+                else:
+                    clocks[m] = clock.copy()
+        return clocks
+
     def reaches(self, src: object, dst: object) -> bool:
+        """Whether ``src`` is or happens before ``dst``: ``dst``'s clock
+        covers one of ``src``'s ops (program order carries it from there)."""
         if src == dst:
             return True
-        seen = {src}
-        queue = deque((src,))
-        while queue:
-            n = queue.popleft()
-            for m in self.adj.get(n, ()):
-                if m == dst:
-                    return True
-                if m not in seen:
-                    seen.add(m)
-                    queue.append(m)
-        return False
+        clock = self.clocks[dst]
+        return any(clock[rank] >= index for rank, index in self.ops_of(src))
 
     def render_node(self, node: object) -> List[str]:
         if isinstance(node, tuple) and len(node) == 2 \

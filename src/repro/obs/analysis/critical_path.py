@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -50,7 +51,8 @@ class PathSegment:
 class CriticalPathResult:
     """The extracted path plus its phase attribution."""
 
-    segments: List[PathSegment]
+    #: the path's spans, time-ordered, as indices into ``source``
+    index: List[int]
     #: seconds of path time per benchmark phase, descending order
     phase_seconds: Dict[str, float]
     #: total wall time of the trace window
@@ -60,6 +62,17 @@ class CriticalPathResult:
     #: per-factorization-step bounding phase, for steps whose comm
     #: segments appear on the path
     step_bound: Dict[int, str] = field(default_factory=dict)
+    #: the span columns the path was extracted from
+    source: Optional[ProfileInput] = field(default=None, repr=False, compare=False)
+
+    @cached_property
+    def segments(self) -> List[PathSegment]:
+        """The path as span objects, built on first use."""
+        if not self.index:
+            return []
+        index = np.array(self.index)
+        return list(map(PathSegment, self.source.take(index),
+                        *zip(*self.source.phase_steps(index))))
 
     @property
     def bounding_phase(self) -> Optional[str]:
@@ -86,23 +99,24 @@ def critical_path(spans, elapsed: float) -> CriticalPathResult:
     start, end, rank = t.start, t.end, t.rank
     ranked = np.flatnonzero((rank >= 0) & (end > start))
     if not len(ranked):
-        return CriticalPathResult([], {}, elapsed, 0.0)
+        return CriticalPathResult([], {}, elapsed, 0.0, source=t)
 
     # Each rank's spans by (end, start), and each (src, dst) pair's xfer
     # spans by end — stable, so ties stay in span order.
     by_rank = ranked[np.lexsort((start[ranked], end[ranked], rank[ranked]))]
-    rank_ends = end[by_rank].tolist()
-    rank_slice = _slices(rank[by_rank][:, None])
     xfers = ranked[t.xfers[ranked]]
     xfers = xfers[np.lexsort((end[xfers], t.x_dst[xfers], rank[xfers]))]
     xfer_ends = end[xfers].tolist()
     xfer_tags = t.x_tag[xfers]
     pair_slice = _slices(np.stack([rank[xfers], t.x_dst[xfers]], axis=1))
 
-    def rank_predecessor(r: int, not_after: float) -> Optional[int]:
-        lo, hi = rank_slice.get((r,), (0, 0))
-        i = bisect.bisect_right(rank_ends, not_after + _EPS, lo, hi) - 1
-        return int(by_rank[i]) if i >= lo else None
+    # Every ranked span's same-rank predecessor (-1: none): the latest
+    # span of its rank ending at or before its start.
+    predecessor = np.full(len(t), -1)
+    for lo, hi in _slices(rank[by_rank][:, None]).values():
+        spans_r = by_rank[lo:hi]
+        k = np.searchsorted(end[spans_r], start[spans_r] + _EPS, side="right")
+        predecessor[spans_r] = np.where(k > 0, spans_r[np.maximum(k - 1, 0)], -1)
 
     def sender_xfer(src, dst, tag, not_after: float) -> Optional[int]:
         """Latest xfer span src→dst ending at or before ``not_after``;
@@ -116,38 +130,35 @@ def critical_path(spans, elapsed: float) -> CriticalPathResult:
                 return int(xfers[lo + hits[-1]])
         return int(xfers[k - 1]) if k > lo else None
 
-    recv = t.where(name="wait_recv") & (t.x_src != NONE)
-    cur: Optional[int] = int(ranked[np.argmax(end[ranked])])
+    recv = set(np.flatnonzero(t.where(name="wait_recv") & (t.x_src != NONE)).tolist())
+    cur = int(ranked[np.argmax(end[ranked])])
     path: List[int] = []
     seen = set()
     # Each hop moves to a span ending no later than the current one; the
     # seen-set guards against equal-end ties looping forever.
-    while cur is not None and cur not in seen:
+    while cur >= 0 and cur not in seen:
         seen.add(cur)
         path.append(cur)
         nxt = None
-        if recv[cur]:
+        if cur in recv:
             nxt = sender_xfer(
                 int(t.x_src[cur]), int(rank[cur]), t.x_tag[cur], float(end[cur])
             )
         if nxt is None or nxt in seen:
-            nxt = rank_predecessor(int(rank[cur]), float(start[cur]))
+            nxt = int(predecessor[cur])
         cur = nxt
     path.reverse()
-    segments = [
-        PathSegment(span, *t.phase_step(i))
-        for i, span in zip(path, t.take(np.array(path)))
-    ]
 
     phase_seconds: Dict[str, float] = {}
     step_bound: Dict[int, Dict[str, float]] = {}
     covered = 0.0
-    for seg in segments:
-        phase_seconds[seg.phase] = phase_seconds.get(seg.phase, 0.0) + seg.duration
-        covered += seg.duration
-        if seg.step is not None:
-            per = step_bound.setdefault(seg.step, {})
-            per[seg.phase] = per.get(seg.phase, 0.0) + seg.duration
+    index = np.array(path)
+    for (phase, step), duration in zip(t.phase_steps(index), t.dur[index].tolist()):
+        phase_seconds[phase] = phase_seconds.get(phase, 0.0) + duration
+        covered += duration
+        if step is not None:
+            per = step_bound.setdefault(step, {})
+            per[phase] = per.get(phase, 0.0) + duration
     phase_seconds = dict(
         sorted(phase_seconds.items(), key=lambda kv: -kv[1])
     )
@@ -155,4 +166,4 @@ def critical_path(spans, elapsed: float) -> CriticalPathResult:
         k: max(per, key=lambda p: per[p]) for k, per in sorted(step_bound.items())
     }
     coverage = min(1.0, covered / elapsed) if elapsed > 0 else 0.0
-    return CriticalPathResult(segments, phase_seconds, elapsed, coverage, bound)
+    return CriticalPathResult(path, phase_seconds, elapsed, coverage, bound, t)

@@ -127,11 +127,15 @@ class ProfileInput(SpanColumns):
 
     def phase_step(self, i: int) -> Tuple[str, Optional[int]]:
         """``(phase, factorization step)`` of span ``i``."""
-        tag = int(self.x_tag[i])
-        return _phase_step(
-            self.cats[self.cat[i]], self.names[self.name[i]],
-            None if tag == NONE else tag,
-        )
+        return self.phase_steps(np.array([i]))[0]
+
+    def phase_steps(self, index: np.ndarray) -> List[Tuple[str, Optional[int]]]:
+        """:meth:`phase_step` of each span in ``index``."""
+        return [
+            _phase_step(self.cats[cat], self.names[name], None if tag == NONE else tag)
+            for cat, name, tag in zip(self.cat[index].tolist(), self.name[index].tolist(),
+                                      self.x_tag[index].tolist())
+        ]
 
     @cached_property
     def phases(self) -> Tuple[np.ndarray, List[str]]:

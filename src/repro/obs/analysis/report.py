@@ -64,7 +64,7 @@ class ProfileReport:
             "critical_path": {
                 "bounding_phase": self.path.bounding_phase,
                 "coverage": round(self.path.coverage, 6),
-                "num_segments": len(self.path.segments),
+                "num_segments": len(self.path.index),
                 "phase_seconds": {
                     p: s for p, s in self.path.phase_seconds.items()
                 },
@@ -164,7 +164,7 @@ class ProfileReport:
         ]
         title = (
             f"critical path: bounded by {self.path.bounding_phase or '-'} "
-            f"({len(self.path.segments)} segments, "
+            f"({len(self.path.index)} segments, "
             f"{self.path.coverage:.1%} of wall time attributed)"
         )
         return render_table(["phase", "path_s", "of wall"], rows, title=title)

@@ -39,6 +39,9 @@ FALLBACK_CADENCE_S = 0.25
 #: auto cadence targets this many samples over a modelled run
 TARGET_SAMPLES = 128
 
+#: the series sampled per rank, in the order a rank's are created
+_RANK_SERIES = ("busy_s", "wait_s", "bytes_sent", "steps")
+
 
 class TelemetrySampler:
     """Snapshots engine state into bounded time series at a cadence."""
@@ -61,6 +64,8 @@ class TelemetrySampler:
         self._steps: Dict[int, int] = {}
         self._flops_prefix: Optional[List[float]] = None
         self._prev_flops: Optional[tuple] = None  # (t, flops_done)
+        #: each rank's :data:`_RANK_SERIES` in :attr:`bank`, resolved once
+        self._rank_series: List[list] = []
 
     # -- configuration ----------------------------------------------------
 
@@ -107,14 +112,20 @@ class TelemetrySampler:
         """Record one snapshot of ``engine`` at virtual time ``t``."""
         bank = self.bank
         num_ranks = engine.num_ranks
+        if len(self._rank_series) != num_ranks:
+            self._rank_series = [
+                [bank.series(name, rank=r) for name in _RANK_SERIES]
+                for r in range(num_ranks)
+            ]
         steps_min = None
-        for r in range(num_ranks):
-            st = engine.stats[r]
-            bank.series("busy_s", rank=r).append(t, st.total_compute)
-            bank.series("wait_s", rank=r).append(t, st.total_wait)
-            bank.series("bytes_sent", rank=r).append(t, st.bytes_sent)
+        for r, (busy, wait, sent, steps), st in zip(
+            range(num_ranks), self._rank_series, engine.stats
+        ):
+            busy.append(t, st.total_compute)
+            wait.append(t, st.total_wait)
+            sent.append(t, st.bytes_sent)
             steps_r = self._steps.get(r, 0)
-            bank.series("steps", rank=r).append(t, steps_r)
+            steps.append(t, steps_r)
             steps_min = (
                 steps_r if steps_min is None else min(steps_min, steps_r)
             )

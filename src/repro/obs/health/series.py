@@ -96,6 +96,8 @@ class SeriesBank:
     def __init__(self, capacity: int = DEFAULT_CAPACITY) -> None:
         self.capacity = capacity
         self._series: Dict[Tuple[str, Optional[int]], RingSeries] = {}
+        #: per-rank series by name, then rank, in creation order
+        self._ranked: Dict[str, Dict[int, RingSeries]] = {}
 
     def series(self, name: str, rank: Optional[int] = None) -> RingSeries:
         """Get-or-create the series for ``name`` (optionally per-rank)."""
@@ -103,15 +105,13 @@ class SeriesBank:
         s = self._series.get(key)
         if s is None:
             s = self._series[key] = RingSeries(self.capacity)
+            if rank is not None:
+                self._ranked.setdefault(name, {})[rank] = s
         return s
 
     def rank_series(self, name: str) -> Dict[int, RingSeries]:
         """Every rank's series under ``name``, keyed by rank."""
-        return {
-            rank: s
-            for (n, rank), s in self._series.items()
-            if n == name and rank is not None
-        }
+        return dict(self._ranked.get(name, {}))
 
     def names(self) -> List[str]:
         """Distinct series names (global and per-rank collapsed)."""

@@ -9,7 +9,9 @@ code; the tracer does not care — it only requires ``end >= start``.
 Three emission styles are supported:
 
 - :meth:`SpanTracer.add` — record a finished span with explicit times
-  (what the engine uses: it already knows both clock values);
+  (what the engine uses: it already knows both clock values; it records
+  its charged edges through :meth:`SpanTracer.put_xfers`, which skips
+  :meth:`SpanTracer.add_xfers`' checks);
 - :meth:`SpanTracer.start` / :meth:`SpanTracer.end` — open/close API for
   code that discovers the end time later;
 - :meth:`SpanTracer.span` — a context manager reading a clock callable
@@ -207,6 +209,9 @@ class SpanTracer:
         #: interned span names / categories -> their column value
         self.names: Dict[str, int] = {}
         self.cats: Dict[str, int] = {}
+        #: (name, cat) -> their ids; the xfer spans' constant columns
+        self._kinds: Dict[Tuple[Any, Any], Tuple[int, int]] = {}
+        self._xfer_record: Optional[tuple] = None
         self._evicted = 0
         self._open.clear()
         self._stack.clear()
@@ -252,6 +257,14 @@ class SpanTracer:
             }
             self._evicted += over
 
+    def _kind(self, name, cat) -> Tuple[int, int]:
+        """The ids of ``name`` and ``cat``, interned on first sight."""
+        ids = self._kinds.get((name, cat))
+        if ids is None:
+            ids = self._kinds[name, cat] = (_intern(self.names, name),
+                                            _intern(self.cats, cat))
+        return ids
+
     def _put(self, name, cat, start, end, rank, attrs, parent) -> None:
         c = self._cols
         n = len(c[0])
@@ -260,8 +273,9 @@ class SpanTracer:
             lane = _NO_LANE
             self._extra[n] = attrs
         try:  # unrolled: the trace loader comes through here once per event
-            c[0].append(_intern(self.names, name))
-            c[1].append(_intern(self.cats, cat))
+            ids = self._kind(name, cat)
+            c[0].append(ids[0])
+            c[1].append(ids[1])
             c[2].append(start)
             c[3].append(end)
             c[4].append(rank)
@@ -312,20 +326,44 @@ class SpanTracer:
             raise ConfigurationError(
                 f"xfer spans {list(zip(starts, ends))}: each must end after it starts"
             )
-        same = (_intern(self.names, "xfer"), _intern(self.cats, "comm"), src,
-                -1, dst, nbytes, intra, NONE if tag is None else tag)
-        new = [
-            array(code, (value,)) * len(starts)
-            for code, value in zip(_CODES.replace("d", ""), same)
-        ]
-        n = len(self._cols[0])
+        self.put_xfers(src, dst, nbytes, intra, tag, starts, ends)
+
+    def put_xfers(
+        self,
+        src: int,
+        dst: int,
+        nbytes: int,
+        intra: bool,
+        tag: Optional[int],
+        starts: Sequence[float],
+        ends: Sequence[float],
+    ) -> None:
+        """:meth:`add_xfers` for an emitter that builds its segments
+        valid (as many ends as starts, each segment ending at or after
+        its start) — the engine's charged edges: nothing is checked, and
+        the constant columns repeat one cached record of one-value
+        arrays."""
+        if self._xfer_record is None:
+            name, cat = self._kind("xfer", "comm")
+            self._xfer_record = tuple(array("i", (v,)) for v in (name, cat, -1))
+        (name, cat, parent), k = self._xfer_record, len(starts)
+        c = self._cols
+        n = len(c[0])
         try:
-            for col, values in zip(self._cols, new[:2] + [starts, ends] + new[2:]):
-                col.extend(values)
+            c[0].extend(name * k)
+            c[1].extend(cat * k)
+            c[2].extend(starts)
+            c[3].extend(ends)
+            c[4].extend(array("i", (src,)) * k)
+            c[5].extend(parent * k)
+            c[6].extend(array("i", (dst,)) * k)
+            c[7].extend(array("q", (nbytes,)) * k)
+            c[8].extend(array("b", (intra,)) * k)
+            c[9].extend(array("q", (NONE if tag is None else tag,)) * k)
         except (TypeError, OverflowError):
             self._unwind(n)
             raise
-        if self.capacity is not None and len(self._cols[0]) >= 2 * self.capacity:
+        if self.capacity is not None and n + k >= 2 * self.capacity:
             self._trim()
 
     def start(

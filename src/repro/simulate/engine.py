@@ -22,7 +22,7 @@ from __future__ import annotations
 import heapq
 from collections import defaultdict, deque
 from dataclasses import dataclass, field
-from math import ceil, log2
+from math import ceil, inf, log2
 from typing import (
     TYPE_CHECKING,
     Any,
@@ -77,26 +77,42 @@ _POST_OVERHEAD_S = 5.0e-7
 
 @dataclass
 class RankStats:
-    """Per-rank accounting: seconds per category plus traffic counters."""
+    """Per-rank accounting: seconds per category plus traffic counters.
+
+    The totals add the categories' seconds in insertion order, as the
+    filtered sums over :attr:`times` do, from the compute and ``wait_``
+    kinds listed once per new kind rather than filtered per call.
+    """
 
     times: Dict[str, float] = field(default_factory=lambda: defaultdict(float))
     bytes_sent: int = 0
     messages_sent: int = 0
+    #: ``(len(times), compute kinds, wait kinds)`` as last listed
+    _kinds: Tuple[int, Tuple[str, ...], Tuple[str, ...]] = field(
+        default=(0, (), ()), init=False, repr=False, compare=False)
 
     def add(self, kind: str, seconds: float) -> None:
         """Accumulate seconds under a category (no-op for <= 0)."""
         if seconds > 0:
             self.times[kind] += seconds
 
+    def _listed(self) -> Tuple[int, Tuple[str, ...], Tuple[str, ...]]:
+        """The kinds, listed again only when ``times`` gained one."""
+        if self._kinds[0] != len(self.times):
+            self._kinds = (
+                len(self.times),
+                tuple(k for k in self.times if not k.startswith("wait_")),
+                tuple(k for k in self.times if k.startswith("wait_")),
+            )
+        return self._kinds
+
     @property
     def total_compute(self) -> float:
-        return sum(
-            v for k, v in self.times.items() if not k.startswith("wait_")
-        )
+        return sum(map(self.times.__getitem__, self._listed()[1]))
 
     @property
     def total_wait(self) -> float:
-        return sum(v for k, v in self.times.items() if k.startswith("wait_"))
+        return sum(map(self.times.__getitem__, self._listed()[2]))
 
 
 @dataclass
@@ -242,9 +258,9 @@ class Engine:
         self._handles: Dict[int, dict] = {}
         self._next_handle = 1
 
-        # collectives: per-rank post counts by (members, key), and the
-        # posts still waiting for members
-        self._coll_seq = defaultdict(lambda: [0] * num_ranks)
+        # collectives: each member's post count by (members, key), in
+        # member order, and the posts still waiting for members
+        self._coll_seq: Dict[Tuple, List[int]] = {}
         self._pending_coll: Dict[Tuple, PendingCollective] = {}
 
         self.stats = [RankStats() for _ in range(num_ranks)]
@@ -261,7 +277,8 @@ class Engine:
         self._emit = self.obs.enabled
         if self._emit:
             self._span_add = self.obs.tracer.add
-            self._xfer_add = self.obs.tracer.add_xfers
+            # the engine builds every segment valid, so it skips the checks
+            self._xfer_add = self.obs.tracer.put_xfers
             m = self.obs.metrics
             self._ctr_bytes = {
                 True: m.counter("comm.bytes_sent", scope="intra"),
@@ -291,6 +308,8 @@ class Engine:
         heapq.heapify(self._heap)
 
         health = self._health
+        # only a sample moves the next due time, so it is read once per sample
+        due = health.next_due if health is not None else inf
         while self._heap:
             clock, rank = heapq.heappop(self._heap)
             st = self._ranks[rank]
@@ -303,8 +322,9 @@ class Engine:
                     f"exceeded max_events={self.max_events}; suspected "
                     "runaway rank program"
                 )
-            if health is not None and clock >= health.next_due:
+            if clock >= due:
                 health.sample_engine(self, clock)  # may raise StallError
+                due = health.next_due
 
         not_done = [r for r, st in enumerate(self._ranks) if st.status != _DONE]
         if not_done:
@@ -625,14 +645,18 @@ class Engine:
 
     def _op_collective(self, rank: int, st: _RankState, op) -> None:
         members = tuple(op.members)
-        if rank not in members:
+        try:
+            slot = members.index(rank)
+        except ValueError:
             raise SimulationError(
                 f"rank {rank} posted a collective it is not a member of"
-            )
+            ) from None
         seq_key = (members, op.key)
-        seqs = self._coll_seq[seq_key]
-        seq = seqs[rank]
-        seqs[rank] += 1
+        seqs = self._coll_seq.get(seq_key)
+        if seqs is None:
+            seqs = self._coll_seq[seq_key] = [0] * len(members)
+        seq = seqs[slot]
+        seqs[slot] += 1
         pend_key = (members, op.key, seq, type(op).__name__)
         pend = self._pending_coll.setdefault(pend_key, PendingCollective(members))
         payload = getattr(op, "payload", None)
@@ -691,6 +715,7 @@ class Engine:
                 self._span_add(wait_kind, "engine", st.clock, finish, r)
             self.stats[r].add(wait_kind, waited)
             st.clock = finish
+            st.block_key = None
             self._resume(r, results[r])
 
     @staticmethod

@@ -1,7 +1,13 @@
 """Tests for the discrete-event SPMD engine."""
 
+import hashlib
+import json
+from collections import defaultdict
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import DeadlockError, SimulationError
 from repro.machine import FRONTIER, SUMMIT, CommCosts
@@ -14,6 +20,7 @@ from repro.simulate import (
     Isend,
     Now,
     PhantomArray,
+    RankStats,
     Recv,
     Reduce,
     Send,
@@ -422,6 +429,26 @@ class TestMailboxHygiene:
         # per-rank member tuple stay alive for the whole run
         assert peak < 0.6 * 2**20
 
+    def test_collective_counters_are_sized_by_their_members(self):
+        # Row and column collectives must not keep a world-sized post
+        # counter each, and a rank a collective resumed holds no stale
+        # pending-collective key.
+        from repro.core.config import BenchmarkConfig
+        from repro.core.driver import make_engine, rank_factory
+        from repro.core.executors import PhantomExecutor
+        from repro.obs import context as obs_context
+
+        cfg = BenchmarkConfig(n=1024 * 6, block=256, machine=SUMMIT,
+                              p_rows=6, p_cols=6)
+        eng = make_engine(cfg, obs_context.current())
+        eng.run(rank_factory(cfg, PhantomExecutor))
+        sizes = {len(members): len(seqs)
+                 for (members, _key), seqs in eng._coll_seq.items()}
+        assert min(sizes) == 6  # row/column collectives took part
+        assert all(n == size for size, n in sizes.items())
+        assert [st.block_key for st in eng._ranks
+                if isinstance(st.block_key, tuple) and len(st.block_key) == 4] == []
+
     def test_other_channel_does_not_wake_blocked_recv(self):
         def prog(rank):
             if rank == 0:
@@ -487,3 +514,61 @@ class TestCollectiveValidation:
 
         res = _engine(2).run(prog)
         np.testing.assert_array_equal(res.returns[0], 2 * np.ones(4))
+
+
+#: one ledger operation: add ``seconds`` under a kind, or read a kind
+_ledger_ops = st.lists(
+    st.tuples(
+        st.sampled_from(["gemm", "trsm", "wait_recv", "wait_send", "wait_outage",
+                         "comm_post", "wait_", "waiting"]),
+        st.none() | st.floats(-1.0, 1e3, allow_nan=False) | st.just(0.0) | st.just(-0.0)
+        | st.sampled_from([1e-300, 5e-324, 0.1, 0.2, 0.3]),
+    ),
+    max_size=60,
+)
+
+
+class TestRankStatsLedger:
+    @given(_ledger_ops)
+    @settings(max_examples=200, deadline=None)
+    def test_totals_are_the_filtered_insertion_order_sums(self, ops):
+        """The totals equal, bit for bit, the per-kind sums filtered in
+        insertion order, with reads of absent kinds (``seconds`` None)
+        inserting a zero as a ``defaultdict(float)`` does."""
+        stats, reference = RankStats(), defaultdict(float)
+        for kind, seconds in ops:
+            if seconds is None:
+                assert stats.times[kind] == reference[kind]
+            else:
+                stats.add(kind, seconds)
+                if seconds > 0:
+                    reference[kind] += seconds
+        assert list(stats.times.items()) == list(reference.items())
+        compute = sum(v for k, v in reference.items() if not k.startswith("wait_"))
+        wait = sum(v for k, v in reference.items() if k.startswith("wait_"))
+        assert float(stats.total_compute).hex() == float(compute).hex()
+        assert float(stats.total_wait).hex() == float(wait).hex()
+
+    def test_monitored_run_health_document_is_unchanged(self):
+        """The health tick reads the totals: the scenario case of the
+        trace golden gives the same ``repro.obs.health/v1`` document as
+        the per-tick re-summing ledger did (sha256 of its canonical JSON)."""
+        from repro.core.config import BenchmarkConfig
+        from repro.core.driver import simulate_run
+        from repro.lcg.cache import clear_tile_cache
+        from repro.obs import Observability
+        from repro.obs.health import HealthMonitor
+        from repro.scenario import Scenario
+        from tests.test_trace_golden import CASES, SCENARIO
+
+        spec = CASES["scenario-4x4-ring2m"]
+        cfg = BenchmarkConfig(
+            n=spec["n"], block=spec["block"], machine=SUMMIT, p_rows=spec["p"],
+            p_cols=spec["p"], bcast_algorithm=spec["bcast"], seed=2022,
+        )
+        clear_tile_cache()  # the cache_hit_ratio series reads the process's cache
+        res = simulate_run(cfg, scenario=Scenario.from_dict(SCENARIO),
+                           obs=Observability(health=HealthMonitor()))
+        doc = json.dumps(res.health.to_dict(), sort_keys=True)
+        assert hashlib.sha256(doc.encode()).hexdigest() == (
+            "d63fed66e20eb67a44b7563e9bcd8cde61e6e91ce53fd7a755cbc5b28f68768c")
