@@ -11,8 +11,10 @@ each).  This package turns those contracts into machine-checked rules:
 - four first-class source checkers (:mod:`repro.analyze.checkers`):
   ``precision-flow``, ``tag-space``, ``collective-matching`` and
   ``hygiene``;
-- an artifact checker wrapping the Chrome-trace schema validation so
-  ``repro lint`` is the single analysis entry point;
+- one artifact checker over a table of run-artifact schemas (traces,
+  profile/health/fleet reports, scenarios, campaign stores;
+  :mod:`repro.analyze.checkers.schemas`) so ``repro lint`` is the
+  single analysis entry point;
 - an opt-in *runtime* sanitizer (:mod:`repro.analyze.sanitize`,
   ``REPRO_SANITIZE=1``) enforcing the dynamic side of the same
   precision contracts inside the BLAS shim.

@@ -1,37 +1,25 @@
 """Checker registry: the suite ``repro lint`` runs by default."""
 
-from repro.analyze.checkers.campaign_schema import CampaignStoreChecker
 from repro.analyze.checkers.collectives import CollectiveMatchingChecker
-from repro.analyze.checkers.fleet_schema import FleetSchemaChecker
-from repro.analyze.checkers.health_schema import HealthReportChecker
 from repro.analyze.checkers.hygiene import HygieneChecker
 from repro.analyze.checkers.precision_flow import PrecisionFlowChecker
-from repro.analyze.checkers.scenario_schema import ScenarioChecker
 from repro.analyze.checkers.schedule import (
     CommRaceChecker,
     CommScheduleChecker,
     TraceConformanceChecker,
 )
+from repro.analyze.checkers.schemas import SchemaChecker
 from repro.analyze.checkers.tag_space import TagSpaceChecker
-from repro.analyze.checkers.trace_schema import (
-    ProfileReportChecker,
-    TraceSchemaChecker,
-)
 
 __all__ = [
-    "CampaignStoreChecker",
     "CollectiveMatchingChecker",
     "CommRaceChecker",
     "CommScheduleChecker",
-    "FleetSchemaChecker",
-    "HealthReportChecker",
     "HygieneChecker",
     "PrecisionFlowChecker",
-    "ProfileReportChecker",
-    "ScenarioChecker",
+    "SchemaChecker",
     "TagSpaceChecker",
     "TraceConformanceChecker",
-    "TraceSchemaChecker",
     "all_checkers",
 ]
 
@@ -43,12 +31,7 @@ def all_checkers(require_layers: bool = False):
         TagSpaceChecker(),
         CollectiveMatchingChecker(),
         HygieneChecker(),
-        TraceSchemaChecker(require_layers=require_layers),
-        ProfileReportChecker(),
-        HealthReportChecker(),
-        FleetSchemaChecker(),
-        ScenarioChecker(),
-        CampaignStoreChecker(),
+        SchemaChecker(require_layers=require_layers),
         CommScheduleChecker(),
         CommRaceChecker(),
         TraceConformanceChecker(),

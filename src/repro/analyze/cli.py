@@ -14,7 +14,7 @@ import json
 import sys
 from pathlib import Path
 
-from repro.analyze.framework import Baseline, run_analysis
+from repro.analyze.framework import Baseline, members, run_analysis
 from repro.broadcasts import BCAST_NAMES
 
 #: baseline used when ``--baseline`` is not given and the file exists
@@ -29,8 +29,9 @@ def add_lint_parser(sub) -> None:
     )
     p.add_argument(
         "paths", nargs="*", default=["src"],
-        help="files/directories to analyze (default: src); .json files "
-        "are validated as Chrome-trace artifacts",
+        help="files/directories to analyze (default: src); .json/.jsonl "
+        "artifacts are validated against the schema that owns them "
+        "(docs/STATIC_ANALYSIS.md)",
     )
     p.add_argument("--format", choices=("text", "json"), default="text",
                    help="report format (default text)")
@@ -156,7 +157,8 @@ def cmd_lint(args) -> int:
     checkers = all_checkers(require_layers=args.require_layers)
     if args.list_checkers:
         for c in checkers:
-            print(f"  {c.id:>20}  {c.description}")
+            for m in members(c):
+                print(f"  {m.id:>20}  {m.description}")
         return 0
     select = (
         [s.strip() for s in args.select.split(",") if s.strip()]

@@ -6,7 +6,8 @@ Checkers come in three kinds:
   (AST + source text) per ``.py`` file and yields findings;
 - :class:`ArtifactChecker` — receives non-Python artifact paths it
   claims via :meth:`ArtifactChecker.matches` (e.g. exported trace
-  JSON files);
+  JSON files); one checker may answer for several ids through a
+  ``rows`` table (see :func:`members`);
 - :class:`ProgramChecker` — sees the whole analyzed file set once and
   runs a global analysis (e.g. the communication-schedule verifier),
   gated on explicit selection or on relevant files being analyzed.
@@ -232,6 +233,12 @@ class AnalysisReport:
         }
 
 
+def members(checker) -> Sequence:
+    """What ``checker`` answers for, each with an ``id`` and a
+    ``description``: the checker itself, or the rows of its table."""
+    return getattr(checker, "rows", (checker,))
+
+
 def _iter_python_files(paths: Sequence[str]) -> Iterator[str]:
     for raw in paths:
         p = Path(raw)
@@ -267,17 +274,24 @@ def run_analysis(
 
         checkers = all_checkers()
     if select:
-        unknown = set(select) - {c.id for c in checkers}
+        wanted = set(select)
+        unknown = wanted - {m.id for c in checkers for m in members(c)}
         if unknown:
             raise ValueError(
                 f"unknown checker id(s): {', '.join(sorted(unknown))}"
             )
-        checkers = [c for c in checkers if c.id in select]
+        checkers = [
+            c.narrow(wanted) if hasattr(c, "rows") else c
+            for c in checkers
+            if wanted.intersection(m.id for m in members(c))
+        ]
     source_checkers = [c for c in checkers if isinstance(c, SourceChecker)]
     artifact_checkers = [c for c in checkers if isinstance(c, ArtifactChecker)]
     program_checkers = [c for c in checkers if isinstance(c, ProgramChecker)]
 
-    report = AnalysisReport(checkers_run=[c.id for c in checkers])
+    report = AnalysisReport(
+        checkers_run=[m.id for c in checkers for m in members(c)]
+    )
     raw: List[Finding] = []
 
     py_files: List[str] = []

@@ -35,7 +35,8 @@ same semantics and rendering as every other gate in the repo.
 
 Row schema is ``repro.campaign.result/v1`` (see
 :mod:`repro.campaign.runner`); :func:`check_result_row` is the
-validation the ``campaign-store`` lint checker delegates to.
+validation the ``campaign-store`` row of
+:mod:`repro.analyze.checkers.schemas` delegates to.
 """
 
 from __future__ import annotations

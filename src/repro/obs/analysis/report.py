@@ -4,8 +4,8 @@
 :class:`~repro.obs.analysis.loaders.ProfileInput` and returns a
 :class:`ProfileReport` that can render as an ASCII report (``repro
 profile``), serialize to a schema-versioned JSON document
-(:data:`PROFILE_SCHEMA`, checked by ``repro lint``'s profile-schema
-checker), flatten to CSV rows, or diff against a previously saved
+(:data:`PROFILE_SCHEMA`, checked by the ``profile-schema`` row of
+:mod:`repro.analyze.checkers.schemas`), flatten to CSV rows, or diff against a previously saved
 report for regression gating (:func:`compare_profiles`).
 """
 

@@ -7,7 +7,8 @@ critical-path phase attribution when per-job profile artifacts are
 available), health-findings and cache rollups, per-worker utilization
 derived from each row's ``meta`` block, and store-over-store trend
 series.  :func:`check_fleet_document` is the validation the
-``fleet-schema`` lint checker delegates to, and
+``fleet-schema`` row of :mod:`repro.analyze.checkers.schemas` delegates
+to, and
 :func:`render_fleet_text` / :func:`render_fleet_csv` are the terminal
 surfaces of ``repro fleet``.
 """

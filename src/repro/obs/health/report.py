@@ -5,7 +5,7 @@ leaves behind: the detector findings, the ranks they implicate, the
 watchdog state, and a downsampled dump of the sampled time series (so
 the dashboard can be rendered later from the document alone).  The
 schema is versioned (``repro.obs.health/v1``) and validated by the
-``health-report`` checker in :mod:`repro.analyze`.
+``health-report`` row of :mod:`repro.analyze.checkers.schemas`.
 """
 
 from __future__ import annotations

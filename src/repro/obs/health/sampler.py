@@ -8,7 +8,8 @@ configurable virtual-time cadence:
   seconds (``wait_s``), bytes sent, completed panel columns
   (``steps``, fed by the executors' :meth:`note_step` hook);
 - run-global: event-queue depth, processed-event count, point-to-point
-  bytes in flight, LCG tile-cache hit ratio, minimum completed step
+  bytes in flight, the run's own LCG tile-cache hit ratio (lookups
+  since the run was bound; 0.0 before any), minimum completed step
   across ranks (``steps_min``), and simulated GF/s priced from the
   per-step flop counts when a configuration is bound.
 
@@ -66,11 +67,15 @@ class TelemetrySampler:
         self._prev_flops: Optional[tuple] = None  # (t, flops_done)
         #: each rank's :data:`_RANK_SERIES` in :attr:`bank`, resolved once
         self._rank_series: List[list] = []
+        #: tile-cache (hits, misses) when the run began: the series
+        #: reports this run's lookups, not the process's
+        self._cache_base = _cache_counts()
 
     # -- configuration ----------------------------------------------------
 
     def bind_config(self, cfg) -> None:
         """Price the run with the model: auto-cadence + per-step flops."""
+        self._cache_base = _cache_counts()
         try:
             from repro.obs.analysis.progress import step_flops
 
@@ -136,7 +141,7 @@ class TelemetrySampler:
         bank.series("bytes_in_flight").append(
             t, getattr(engine, "_inflight_bytes", 0)
         )
-        bank.series("cache_hit_ratio").append(t, _cache_hit_ratio())
+        bank.series("cache_hit_ratio").append(t, self._cache_hit_ratio())
         gflops = self._gflops(t, steps_min)
         if gflops is not None:
             bank.series("gflops").append(t, gflops)
@@ -156,13 +161,24 @@ class TelemetrySampler:
             return None
         return (flops_done - prev[1]) / (t - prev[0]) / 1e9
 
+    def _cache_hit_ratio(self) -> float:
+        """Hit ratio of the tile-cache lookups made since the run began."""
+        hits, misses = _cache_counts()
+        base_hits, base_misses = self._cache_base
+        if hits < base_hits or misses < base_misses:
+            # the cache was cleared mid-run: count from the clear
+            self._cache_base = base_hits, base_misses = 0, 0
+        hits -= base_hits
+        lookups = hits + misses - base_misses
+        return hits / lookups if lookups else 0.0
 
-def _cache_hit_ratio() -> float:
+
+def _cache_counts() -> tuple:
+    """The process-wide tile cache's (hits, misses) counters."""
     from repro.lcg.cache import tile_cache
 
-    s = tile_cache().stats()
-    lookups = s["hits"] + s["misses"]
-    return s["hits"] / lookups if lookups else 0.0
+    cache = tile_cache()
+    return cache.hits, cache.misses
 
 
 class HealthMonitor:

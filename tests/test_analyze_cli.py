@@ -3,6 +3,8 @@
 import json
 from pathlib import Path
 
+import pytest
+
 from repro.cli import main
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
@@ -16,6 +18,27 @@ VALID_TRACE = {
          "pid": 0, "tid": 0, "ts": 0.0, "dur": 5.0},
     ],
 }
+
+
+#: artifacts the default suite must report once, under the one schema
+#: id that owns them: (file name, text, ids with findings, finding count
+#: or None when any positive count will do)
+OWNED_ARTIFACTS = [
+    ("export.json",
+     json.dumps({"schema": "repro.campaign.store/v1", "rows": []}), [], 0),
+    ("health.json",
+     json.dumps({"schema": "repro.obs.health/v0", "num_ranks": 4,
+                 "num_samples": 1, "cadence_s": 0.1, "findings": [],
+                 "degraded_ranks": [], "series": {},
+                 "watchdog": {"tripped": False, "deadlines_s": {}}}),
+     ["health-report"], 1),
+    ("fleet.json",
+     json.dumps({"schema": "repro.obs.fleet/v999", "heatmap": {},
+                 "trend": {}}),
+     ["fleet-schema"], None),
+    ("nan.json", '{"traceEvents": [], "x": NaN}', ["trace-schema"], 1),
+    ("torn.json", json.dumps(VALID_TRACE)[:40], ["trace-schema"], 1),
+]
 
 
 def _write(tmp_path, name, text):
@@ -107,6 +130,35 @@ class TestTraceArtifacts:
         path = _write(tmp_path, "trace.json", json.dumps(doc))
         assert main(["lint", path, "--no-baseline"]) == 1
         assert "[trace-schema]" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "name,text,ids,count", OWNED_ARTIFACTS,
+        ids=[case[0] for case in OWNED_ARTIFACTS],
+    )
+    def test_each_artifact_is_reported_by_its_owner_once(
+            self, tmp_path, capsys, name, text, ids, count):
+        path = _write(tmp_path, name, text)
+        rc = main(["lint", path, "--no-baseline", "--format", "json"])
+        findings = json.loads(capsys.readouterr().out)["findings"]
+        assert rc == (1 if ids else 0)
+        assert sorted({f["checker"] for f in findings}) == ids
+        if count is not None:
+            assert len(findings) == count
+
+    def test_trace_is_parsed_once(self, tmp_path, monkeypatch, capsys):
+        from repro.analyze.checkers import schemas
+
+        calls = []
+        load = schemas.load_strict_json
+
+        def counting_load(path):
+            calls.append(path)
+            return load(path)
+
+        monkeypatch.setattr(schemas, "load_strict_json", counting_load)
+        path = _write(tmp_path, "trace.json", json.dumps(VALID_TRACE))
+        assert main(["lint", path, "--no-baseline"]) == 0
+        assert calls == [path]
 
     def test_require_layers_flag(self, tmp_path, capsys):
         path = _write(tmp_path, "trace.json", json.dumps(VALID_TRACE))

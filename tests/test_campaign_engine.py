@@ -816,9 +816,9 @@ class TestWorkerMeta:
 
 class TestCampaignStoreChecker:
     def _findings(self, path):
-        from repro.analyze.checkers import CampaignStoreChecker
+        from repro.analyze import run_analysis
 
-        return list(CampaignStoreChecker().check_file(str(path)))
+        return run_analysis([str(path)], select=["campaign-store"]).findings
 
     def test_valid_store_passes(self, tmp_path):
         eng = _engine(tmp_path)
@@ -844,5 +844,7 @@ class TestCampaignStoreChecker:
 
     def test_registered_in_default_suite(self):
         from repro.analyze.checkers import all_checkers
+        from repro.analyze.framework import members
 
-        assert "campaign-store" in {c.id for c in all_checkers()}
+        assert "campaign-store" in {
+            m.id for c in all_checkers() for m in members(c)}

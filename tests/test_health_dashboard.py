@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro.analyze.checkers.health_schema import check_health_report
+from repro.analyze.checkers.schemas import check_health_report
 from repro.core.config import BenchmarkConfig
 from repro.core.driver import simulate_run
 from repro.machine import get_machine

@@ -491,7 +491,7 @@ class TestBuildProfile:
         assert rep.deviation.total_deviation is not None
 
     def test_to_dict_passes_schema_checker(self, observed):
-        from repro.analyze.checkers.trace_schema import check_profile_report
+        from repro.analyze.checkers.schemas import check_profile_report
 
         _cfg_, obs, _res = observed
         doc = build_profile(from_observability(obs)).to_dict()

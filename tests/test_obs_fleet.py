@@ -200,9 +200,9 @@ class TestRenderers:
 
 class TestFleetChecker:
     def _findings(self, path):
-        from repro.analyze.checkers import FleetSchemaChecker
+        from repro.analyze import run_analysis
 
-        return list(FleetSchemaChecker().check_file(str(path)))
+        return run_analysis([str(path)], select=["fleet-schema"]).findings
 
     def test_valid_document_passes(self, swept, tmp_path):
         p = tmp_path / "fleet.json"
@@ -232,15 +232,17 @@ class TestFleetChecker:
 
     def test_registered_in_default_suite(self):
         from repro.analyze.checkers import all_checkers
+        from repro.analyze.framework import members
 
-        assert "fleet-schema" in {c.id for c in all_checkers()}
+        assert "fleet-schema" in {
+            m.id for c in all_checkers() for m in members(c)}
 
     def test_trace_schema_skips_fleet_documents(self, swept, tmp_path):
-        from repro.analyze.checkers import TraceSchemaChecker
+        from repro.analyze import run_analysis
 
         p = tmp_path / "fleet.json"
         p.write_text(json.dumps(build_fleet(swept)))
-        assert list(TraceSchemaChecker().check_file(str(p))) == []
+        assert run_analysis([str(p)], select=["trace-schema"]).findings == []
 
 
 class TestFleetCli:

@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from repro.analyze.checkers.trace_schema import check_trace
+from repro.analyze.checkers.schemas import check_trace
 from repro.core.config import BenchmarkConfig
 from repro.core.driver import simulate_run
 from repro.machine import get_machine

@@ -190,12 +190,12 @@ class TestSugarAndIntrospection:
 
 class TestScenarioChecker:
     def test_valid_document_clean(self):
-        from repro.analyze.checkers.scenario_schema import check_scenario
+        from repro.analyze.checkers.schemas import check_scenario
 
         assert check_scenario(_kitchen_sink().to_dict()) == []
 
     def test_problems_reported_per_injection(self):
-        from repro.analyze.checkers.scenario_schema import check_scenario
+        from repro.analyze.checkers.schemas import check_scenario
 
         doc = {
             "schema": SCENARIO_SCHEMA,
@@ -210,7 +210,7 @@ class TestScenarioChecker:
         assert "injections[1]" in problems[1]
 
     def test_empty_injections_flagged(self):
-        from repro.analyze.checkers.scenario_schema import check_scenario
+        from repro.analyze.checkers.schemas import check_scenario
 
         problems = check_scenario({"schema": SCENARIO_SCHEMA,
                                    "injections": []})
@@ -218,8 +218,9 @@ class TestScenarioChecker:
 
     def test_checker_registered_in_suite(self):
         from repro.analyze.checkers import all_checkers
+        from repro.analyze.framework import members
 
-        ids = {c.id for c in all_checkers()}
+        ids = {m.id for c in all_checkers() for m in members(c)}
         assert "scenario-schema" in ids
 
     def test_lint_cli_validates_scenario_file(self, tmp_path, capsys):

@@ -552,21 +552,25 @@ class TestRankStatsLedger:
     def test_monitored_run_health_document_is_unchanged(self):
         """The health tick reads the totals: the scenario case of the
         trace golden gives the same ``repro.obs.health/v1`` document as
-        the per-tick re-summing ledger did (sha256 of its canonical JSON)."""
+        the per-tick re-summing ledger did (sha256 of its canonical JSON),
+        also after an exact solve has used the process's tile cache."""
         from repro.core.config import BenchmarkConfig
-        from repro.core.driver import simulate_run
-        from repro.lcg.cache import clear_tile_cache
+        from repro.core.driver import run_benchmark, simulate_run
+        from repro.lcg.cache import tile_cache
         from repro.obs import Observability
         from repro.obs.health import HealthMonitor
         from repro.scenario import Scenario
         from tests.test_trace_golden import CASES, SCENARIO
 
+        run_benchmark(BenchmarkConfig(n=128, block=16, machine=SUMMIT,
+                                      p_rows=2, p_cols=2), exact=True)
+        stats = tile_cache().stats()
+        assert stats["hits"] and stats["misses"]
         spec = CASES["scenario-4x4-ring2m"]
         cfg = BenchmarkConfig(
             n=spec["n"], block=spec["block"], machine=SUMMIT, p_rows=spec["p"],
             p_cols=spec["p"], bcast_algorithm=spec["bcast"], seed=2022,
         )
-        clear_tile_cache()  # the cache_hit_ratio series reads the process's cache
         res = simulate_run(cfg, scenario=Scenario.from_dict(SCENARIO),
                            obs=Observability(health=HealthMonitor()))
         doc = json.dumps(res.health.to_dict(), sort_keys=True)
